@@ -1,23 +1,16 @@
-"""Reallocation hot path — incremental engine vs full recompute,
-plus the solver-kernel comparison axis.
+"""Reallocation hot path — incremental engine vs full recompute.
 
 The PR-2 microbenchmark: a leaf-spine fabric carries N active fluid
 flows; the workload then churns flows (stop one, start one, each at
-its own instant, each triggering a reallocation).  Pre-PR-2 every such
-event re-walked all N paths and re-solved the global max-min
-allocation; the incremental engine re-walks only the dirty flow and
-re-solves the affected component with the dense array kernel.
+its own instant, each triggering a reallocation).  The baseline is the
+same engine with ``incremental_realloc=False``: every such event
+re-walks all N paths and re-solves the whole allocation.  The
+incremental engine re-walks only the dirty flow and re-solves the
+affected component.
 
-The kernel axis (PR 10) drives the same churn shape through each
-solver kernel (``reference``/``heap``/``arrays``, see
-:mod:`repro.dataplane.solver`) on a k=8 fat-tree under static
-routing — one oversubscribed connected component, the struct-of-arrays
-kernel's target workload — and emits ``BENCH_kernels.json``.
-
-Both engines/kernels are driven through identical churn sequences and
-must produce the same aggregate rate at the end — the speedup may not
-come from computing something different (kernels must match
-bit-for-bit).
+Both modes are driven through identical churn sequences and must
+produce the same aggregate rate at the end — the speedup may not come
+from computing something different.
 
 Knobs:
 
@@ -25,29 +18,19 @@ Knobs:
   (default ``1000,10000``)
 * ``REPRO_BENCH_REALLOC_EVENTS`` — churn events per measurement
   (default ``30``)
-* ``REPRO_BENCH_KERNEL_FLOWS`` — flow counts for the kernel axis
-  (default ``1000,10000``; ``reference`` only runs below 2000 flows —
-  it is quadratic)
 
 Run:  pytest benchmarks/bench_reallocation.py --benchmark-only
 """
 
 import os
 import random
-import time
 
 import pytest
 
-from repro.api.control_setup import setup_static_routes
-from repro.api.experiment import Experiment
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.dataplane.flow import FluidFlow
-from repro.dataplane.link import Link
-from repro.dataplane.network import Network
-from repro.dataplane.node import reset_auto_macs
-from repro.dataplane.switch import reset_dpids
-from repro.topology.fattree import FatTreeTopo
+from repro.dataplane.network import Network, reset_process_counters
 
 from conftest import record_json, record_rows
 
@@ -72,18 +55,11 @@ def build_fabric(num_flows: int, incremental: bool):
     """A routed leaf-spine with static ECMP FIBs and N active flows."""
     # Identical process-global counters for both engines, so the two
     # fabrics (and their flows' five-tuples) are exact clones.
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
+    reset_process_counters()
 
     sim = Simulation(SimulationConfig(incremental_realloc=incremental))
     net = Network("bench-leaf-spine")
     sim.attach_network(net)
-    if not incremental:
-        # The baseline is the pre-PR-2 path: full re-walk every event
-        # plus the original round-based filling arithmetic.
-        net.realloc.kernel = "reference"
 
     spines = [net.add_router(f"s{i}") for i in range(NUM_SPINES)]
     hosts = []
@@ -199,155 +175,3 @@ def test_reallocation_report(benchmark):
     )
     record_json("reallocation", payload)
 
-
-# ---------------------------------------------------------------------------
-# The solver-kernel comparison axis (PR 10)
-# ---------------------------------------------------------------------------
-
-FATTREE_K = 8
-KERNEL_DEMAND = 5e8  # uniform demands: maximal saturation-tie pressure
-
-_kernel_results = {}
-
-
-def kernel_flow_counts():
-    raw = os.environ.get("REPRO_BENCH_KERNEL_FLOWS", "1000,10000")
-    return [int(part) for part in raw.split(",") if part.strip()]
-
-
-def kernels_for(num_flows: int):
-    # reference is quadratic in the component size; 10k flows in one
-    # fat-tree component would take minutes per event.
-    if num_flows < 2000:
-        return ["reference", "heap", "arrays"]
-    return ["heap", "arrays"]
-
-
-def build_fattree(num_flows: int, kernel: str):
-    """A k=8 fat-tree under static single-path routing, N flows."""
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
-
-    exp = Experiment(f"bench-kernel-{kernel}",
-                     config=SimulationConfig(kernel=kernel))
-    exp.load_topo(FatTreeTopo(k=FATTREE_K, device="router"))
-    setup_static_routes(exp)
-    net = exp.network
-    hosts = net.hosts()
-
-    rng = random.Random(97)
-    flows = []
-    for __ in range(num_flows):
-        src, dst = rng.sample(hosts, 2)
-        flow = FluidFlow(src, dst, demand_bps=KERNEL_DEMAND, start_time=0.0)
-        net.add_flow(flow)
-        flows.append(flow)
-    exp.sim.run(until=0.001)  # initial (full) reallocation, not measured
-    return exp.sim, net, hosts, flows, rng
-
-
-def kernel_churn(sim, net, hosts, flows, rng, events: int):
-    """Identical churn shape to :func:`churn`, uniform demands."""
-    t = sim.now
-    for i in range(events):
-        t += 0.001
-        net.stop_flow(flows[i])
-        sim.run(until=t)
-        t += 0.001
-        src, dst = rng.sample(hosts, 2)
-        flow = FluidFlow(src, dst, demand_bps=KERNEL_DEMAND, start_time=t)
-        net.add_flow(flow)
-        flows.append(flow)
-        sim.run(until=t)
-    return net
-
-
-@pytest.mark.parametrize("kernel", ["reference", "heap", "arrays"])
-@pytest.mark.parametrize("num_flows", kernel_flow_counts())
-def test_kernel_churn(benchmark, num_flows, kernel):
-    if kernel not in kernels_for(num_flows):
-        pytest.skip(f"{kernel} kernel skipped at {num_flows} flows")
-    sim, net, hosts, flows, rng = build_fattree(num_flows, kernel)
-    events = churn_events()
-    start = time.perf_counter()
-    benchmark.pedantic(kernel_churn,
-                       args=(sim, net, hosts, flows, rng, events),
-                       rounds=1, iterations=1)
-    wall = time.perf_counter() - start
-    net.finalize_accounting()
-    aggregate = net.aggregate_rx_rate()
-    assert aggregate > 0
-    if kernel == "arrays":
-        assert net.realloc.stats.get("arrays", {}).get("live_flows", 0) > 0
-    _kernel_results[(num_flows, kernel)] = {
-        "wall_s": wall,
-        "events": 2 * events,
-        "aggregate_bps": aggregate,
-        "delivered_bytes": sum(f.delivered_bytes for f in flows),
-    }
-
-
-def test_kernel_report(benchmark):
-    benchmark(lambda: None)  # report-only test; table assembly below
-    sizes = sorted({size for size, __ in _kernel_results})
-    if not sizes:
-        pytest.skip("no kernel measurements collected")
-    rows = []
-    payload = {"flow_counts": sizes, "fattree_k": FATTREE_K, "cases": {}}
-    for size in sizes:
-        per_kernel = {k: _kernel_results.get((size, k))
-                      for k in kernels_for(size)}
-        heap = per_kernel.get("heap")
-        arrays = per_kernel.get("arrays")
-        if heap is None or arrays is None:
-            continue
-        # Equivalence: arrays must match heap bit-for-bit (same
-        # arithmetic, same order — the speedup may not come from
-        # computing something different); reference uses different
-        # (round-based) arithmetic, so it is held to a tight relative
-        # tolerance instead.
-        assert arrays["aggregate_bps"] == heap["aggregate_bps"], (
-            f"arrays kernel aggregate diverged at {size} flows")
-        assert arrays["delivered_bytes"] == heap["delivered_bytes"], (
-            f"arrays kernel delivered bytes diverged at {size} flows")
-        reference = per_kernel.get("reference")
-        if reference is not None:
-            assert reference["aggregate_bps"] == pytest.approx(
-                heap["aggregate_bps"], rel=1e-9)
-            assert reference["delivered_bytes"] == pytest.approx(
-                heap["delivered_bytes"], rel=1e-9)
-        speedup = heap["wall_s"] / arrays["wall_s"]
-        case = {
-            "events": heap["events"],
-            "heap_wall_s": heap["wall_s"],
-            "arrays_wall_s": arrays["wall_s"],
-            "events_per_s_arrays": arrays["events"] / arrays["wall_s"],
-            "speedup": speedup,
-        }
-        if reference is not None:
-            case["reference_wall_s"] = reference["wall_s"]
-        payload["cases"][str(size)] = case
-        ref_ms = (f"{reference['wall_s'] * 1e3:>8.1f}"
-                  if reference is not None else f"{'-':>8}")
-        rows.append(
-            f"{size:>7} {heap['events']:>7} {ref_ms} "
-            f"{heap['wall_s'] * 1e3:>9.1f} {arrays['wall_s'] * 1e3:>10.1f} "
-            f"{heap['wall_s'] * 1e3 / heap['events']:>10.2f} "
-            f"{arrays['wall_s'] * 1e3 / arrays['events']:>10.2f} "
-            f"{speedup:>8.2f}x"
-        )
-        if size >= 10_000:
-            # The PR-10 acceptance floor: vectorized kernel ≥ 5x the
-            # scalar heap on 10k-flow fat-tree churn.
-            assert speedup >= 5.0, (
-                f"{size}-flow kernel speedup {speedup:.2f}x < 5x")
-    record_rows(
-        "kernels",
-        f"{'flows':>7} {'events':>7} {'ref_ms':>8} {'heap_ms':>9} "
-        f"{'arrays_ms':>10} {'heap_ms/ev':>10} {'arr_ms/ev':>10} "
-        f"{'speedup':>8}",
-        rows,
-    )
-    record_json("kernels", payload)

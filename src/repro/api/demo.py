@@ -12,7 +12,11 @@ wall-clock execution time the way Figure 3 does (topology creation +
 experiment execution).  ``realtime_factor`` paces FTI mode against the
 wall clock, which is how real Horse behaves (the emulated control
 plane runs in real time); benches pass the same scale factor to the
-Mininet-style baseline so the comparison is like-for-like.
+Mininet-style baseline so the comparison is like-for-like.  A
+demonstration first resets the process-global id counters (flows,
+links, MACs, dpids) that ECMP and Hedera see, so the n-th
+demonstration in a process equals the first; its three schemes then
+share one counter sequence, in the order above.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.controllers.ecmp import FiveTupleEcmpApp
 from repro.controllers.hedera import HederaApp
 from repro.core.clock import ClockPolicy
 from repro.core.config import SimulationConfig
+from repro.dataplane.network import reset_process_counters
 from repro.topology.fattree import FatTreeTopo
 
 GBPS = 1_000_000_000.0
@@ -144,6 +149,7 @@ class DemonstrationReport:
 
 def run_full_demonstration(settings: DemoSettings) -> DemonstrationReport:
     """All three TE experiments for one fat-tree size."""
+    reset_process_counters()
     report = DemonstrationReport(k=settings.k)
     report.results["bgp_ecmp"] = run_bgp_ecmp(settings)
     report.results["hedera"] = run_hedera(settings)

@@ -231,6 +231,7 @@ def _build_generated_spec(args: argparse.Namespace, seed: int):
     """The scenario a (generator options, seed) pair describes —
     shared by ``scenario run``, ``scenario sweep`` and the ``campaign``
     commands so a sweep line reproduces exactly."""
+    from repro.core.errors import ConfigurationError
     from repro.scenarios import (
         ProtocolRecipe,
         TopologyRecipe,
@@ -242,17 +243,20 @@ def _build_generated_spec(args: argparse.Namespace, seed: int):
     if args.protocol is not None:
         protocol = ProtocolRecipe(args.protocol,
                                   _parse_kv_params(args.protocol_param))
-    spec = generate_scenario(
-        seed,
-        pattern=args.pattern,
-        topology=topology,
-        protocol=protocol,
-        duration=args.duration,
-        pattern_params=_parse_kv_params(args.pattern_param),
-        traffic_family=getattr(args, "traffic_family", None),
-        traffic_params=_parse_kv_params(getattr(args, "traffic_param",
-                                                None)),
-    )
+    try:
+        spec = generate_scenario(
+            seed,
+            pattern=args.pattern,
+            topology=topology,
+            protocol=protocol,
+            duration=args.duration,
+            pattern_params=_parse_kv_params(args.pattern_param),
+            traffic_family=getattr(args, "traffic_family", None),
+            traffic_params=_parse_kv_params(getattr(args, "traffic_param",
+                                                    None)),
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(f"invalid scenario: {exc}")
     spec.slos = _parse_slos(getattr(args, "slo", None))
     return spec
 
@@ -1032,8 +1036,10 @@ def _add_fleet_tuning_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
     """The scenario-family knobs: failure pattern, topology, protocol,
-    traffic matrix, horizon — shared by the scenario/campaign commands
-    and ``search run``."""
+    traffic matrix, horizon — shared by the scenario/campaign commands,
+    ``search run`` and ``trace run``."""
+    from repro.scenarios.spec import PROTOCOL_KINDS
+
     parser.add_argument(
         "--pattern", default="k-random-links",
         choices=["k-random-links", "flap-storm", "rolling-maintenance",
@@ -1052,8 +1058,9 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
         "--topo-param", action="append", metavar="KEY=VALUE",
         help="topology parameter (e.g. k=4, num_spines=4); repeatable")
     parser.add_argument(
-        "--protocol", default=None, choices=["bgp", "ospf", "sdn", "none"],
-        help="control plane (default: fast-timer OSPF)")
+        "--protocol", default=None, choices=PROTOCOL_KINDS,
+        help="control plane (default: fast-timer OSPF; bgp, ospf and "
+             "static need a router topology)")
     parser.add_argument(
         "--protocol-param", action="append", metavar="KEY=VALUE",
         help="protocol timer (e.g. hold_time=3); repeatable")

@@ -55,14 +55,6 @@ class SimulationConfig:
         symmetry-breaking falls back to concrete simulation of the
         divergent region; scenario results are bit-for-bit identical
         either way (pinned by the quotient==concrete property test).
-    kernel:
-        Max-min solver kernel (see :mod:`repro.dataplane.solver`):
-        ``"auto"`` (default — the vectorized ``arrays`` kernel when
-        numpy is importable and no quotient layer is attached, else
-        ``heap``), ``"reference"`` (round-based progressive filling),
-        ``"heap"`` (event-ordered scalar) or ``"arrays"`` (vectorized
-        struct-of-arrays).  All kernels produce bit-for-bit identical
-        scenario results (pinned by the kernel-parity property tests).
     """
 
     fti_increment: float = 0.001
@@ -74,12 +66,9 @@ class SimulationConfig:
     max_events: int = 0
     incremental_realloc: bool = True
     symmetry: bool = False
-    kernel: str = "auto"
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsense values."""
-        from repro.dataplane.solver import KERNEL_CHOICES, canonical_kernel
-
         if self.fti_increment <= 0:
             raise ConfigurationError("fti_increment must be > 0")
         if self.des_fallback_timeout < 0:
@@ -90,10 +79,3 @@ class SimulationConfig:
             raise ConfigurationError("stats_interval must be > 0")
         if self.max_events < 0:
             raise ConfigurationError("max_events must be >= 0")
-        try:
-            canonical_kernel(self.kernel)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; "
-                f"valid kernels: {', '.join(KERNEL_CHOICES)}"
-            ) from None

@@ -3,8 +3,9 @@
 Figure 2's lower half: a discrete-event model of the network topology
 (hosts, OpenFlow switches, routers, links) carrying traffic as *fluid
 flows* — a flow is a rate on a path, not a stream of packets.  Rates
-are max-min fair across links (progressive filling), recomputed when
-flows start/stop or the control plane reprograms forwarding state.
+are max-min fair across links (water filling on numpy arrays),
+recomputed when flows start/stop or the control plane reprograms
+forwarding state.
 
 Individual packets still exist for the cases that need them: the first
 packet of a flow that misses in an OpenFlow table (it becomes a
@@ -21,16 +22,7 @@ from repro.dataplane.switch import Switch
 from repro.dataplane.router import Router
 from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
 from repro.dataplane.fluid import max_min_allocation, validate_allocation
-from repro.dataplane.solver import (
-    KERNEL_CHOICES,
-    MaxMinSolver,
-    available_kernels,
-    canonical_kernel,
-    get_kernel,
-    register_kernel,
-    resolve_kernel,
-)
-from repro.dataplane.network import Network
+from repro.dataplane.network import Network, reset_process_counters
 from repro.dataplane.stats import StatsCollector, Sample
 
 __all__ = [
@@ -51,14 +43,8 @@ __all__ = [
     "PathStatus",
     "max_min_allocation",
     "validate_allocation",
-    "KERNEL_CHOICES",
-    "MaxMinSolver",
-    "available_kernels",
-    "canonical_kernel",
-    "get_kernel",
-    "register_kernel",
-    "resolve_kernel",
     "Network",
+    "reset_process_counters",
     "StatsCollector",
     "Sample",
 ]

@@ -1,10 +1,7 @@
 """Struct-of-arrays fluid state and the vectorized max-min kernel.
 
-The scalar solver path costs O(flows × hops) of *Python* per
-recompute: `_solve_component` rebuilds a dense instance object by
-object, `bottleneck_filling` walks it event by event, and
-``Network.accrue`` visits every accruing flow per event.  This module
-replaces all three with numpy state:
+This is the data plane's one solver path.  Every reallocation runs on
+numpy state that persists across recomputes:
 
 * :class:`FlowArrays` / :class:`LinkArrays` — interned
   struct-of-arrays mirrors of the cached walks: per-flow demand, rate
@@ -16,45 +13,40 @@ replaces all three with numpy state:
   capacities in place; rows are re-interned only when a flow is
   re-walked, and the whole state resets only on ``topo_epoch`` bumps /
   path-cache invalidation (full recomputes).
-* :func:`bottleneck_filling_arrays` — the vectorized kernel.  It
-  replays the heap kernel's float arithmetic in *batches*: per round
-  it recomputes every live saturation key ``(capacity − frozen_load)
-  / alive`` (the identical IEEE expression ``push_sat`` evaluates),
-  then freezes either every unfrozen flow whose demand is ≤ the
-  minimum key (in (demand, flow) order — the heap's pop order) or
-  every unfrozen member of the links at the minimum key.  Within a
-  batch the ``frozen_load`` additions run through ``np.add.at`` in
-  the heap's order, and runs of equal addends commute, so the float
-  trajectory — and therefore the allocation — is bit-for-bit the heap
-  kernel's (pinned by ``tests/property/test_kernel_parity.py``).
+* :func:`bottleneck_filling_arrays` — the vectorized kernel.  It is
+  event-ordered water filling run in *batches*: per round it
+  recomputes every live saturation key ``(capacity − frozen_load) /
+  alive``, then freezes either every unfrozen flow whose demand is ≤
+  the minimum key (in (demand, flow) order) or every unfrozen member
+  of the links at the minimum key.  Within a batch the
+  ``frozen_load`` additions run through ``np.add.at`` one flow at a
+  time, and runs of equal addends commute, so the float trajectory is
+  bit-for-bit that of the one-event-at-a-time heap replay
+  :func:`repro.symmetry.quotient.quotient_bottleneck_filling` (with
+  every multiplicity 1) — pinned by
+  ``tests/property/test_maxmin_oracle.py``, which also holds both to
+  an exact rational oracle.
 * :class:`AccrualBatch` — one vectorized byte-accrual pass per rate
   timeline segment: ``rate · dt / 8`` elementwise, then ``np.add.at``
-  scatters into gathered host/port/direction counter buffers in the
-  scalar loop's visit order, keeping every counter bit-identical to
-  the per-flow loop.
-
-Everything degrades gracefully without numpy: ``HAVE_NUMPY`` gates the
-kernel registry entry and the engine falls back to ``"heap"``.
+  scatters into gathered host/port/direction/flow-entry counter
+  buffers in per-flow (flow id, path) order, keeping every counter
+  bit-identical to integrating the flows one by one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.dataplane.solver import EPSILON
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.flow import FluidFlow
     from repro.dataplane.host import Host
     from repro.dataplane.link import LinkDirection
 
-try:  # the container bakes numpy in; guard anyway (no hard dep)
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
-    HAVE_NUMPY = False
+#: Demands at or below this many bps are zero: such flows are born
+#: frozen at rate 0 and take no share of any link.
+EPSILON = 1e-9
 
 _INF = float("inf")
 
@@ -65,14 +57,13 @@ _INF = float("inf")
 
 
 def _batch_fill(demands, capacities, entry_flow, entry_link):
-    """Batched replay of the heap kernel over a dense instance.
+    """Batched heap-order water filling over a dense instance.
 
     ``entry_flow``/``entry_link`` are the parallel CSR expansion of the
     flow→link incidence in flow-major, path order, **deduplicated per
-    flow** (a path crossing a link twice counts once, as in the scalar
-    kernels).  Returns the per-flow rate vector (float64).
+    flow** (a path crossing a link twice counts once).  Returns the
+    per-flow rate vector (float64).
     """
-    np = _np
     num_flows = int(demands.shape[0])
     num_links = int(capacities.shape[0])
     rates = np.zeros(num_flows)
@@ -193,22 +184,14 @@ def _batch_fill(demands, capacities, entry_flow, entry_link):
 def bottleneck_filling_arrays(
     demands: Sequence[float],
     capacities: Sequence[float],
-    link_members: Sequence[Sequence[int]],
     flow_links: Sequence[Sequence[int]],
 ) -> List[float]:
-    """Vectorized bottleneck filling; facade signature, list in/out.
+    """Max-min rates of one dense instance; lists in, list out.
 
-    Bit-for-bit equal to
-    :func:`repro.dataplane.solver.bottleneck_filling` on the same
-    instance (same contract: ``flow_links`` deduplicated per flow,
-    ``link_members`` restricted to flows with demand above
-    ``EPSILON``).  ``link_members`` itself is not consulted — the
-    alive counts are derived from the incidence and the demand mask,
-    which the contract makes equivalent.
+    ``flow_links[i]`` lists the link indices on flow ``i``'s path,
+    deduplicated per flow (a path crossing a link twice counts once).
+    Flows with demand at or below :data:`EPSILON` get rate 0.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - numpy-less fallback
-        raise RuntimeError("the 'arrays' kernel requires numpy")
-    np = _np
     demand_vec = np.asarray(demands, dtype=np.float64)
     cap_vec = np.asarray(capacities, dtype=np.float64)
     counts = np.fromiter((len(links) for links in flow_links),
@@ -231,16 +214,14 @@ class FlowArrays:
 
     ``path[slot, :path_len[slot]]`` holds the direction slots of the
     flow's cached hops *including duplicates* (byte accrual visits
-    every hop, like the scalar loop); ``path_first`` marks the first
-    occurrence of each direction so solves count a twice-crossed link
-    once, exactly as the scalar instance builder dedupes.
+    every hop); ``path_first`` marks the first occurrence of each
+    direction so solves count a twice-crossed link once.
     """
 
     __slots__ = ("demand", "rate", "src_host", "dst_host", "path",
                  "path_len", "path_first", "has_entries", "cap", "width")
 
     def __init__(self, cap: int = 64, width: int = 8) -> None:
-        np = _np
         self.cap = cap
         self.width = width
         self.demand = np.zeros(cap)
@@ -250,12 +231,11 @@ class FlowArrays:
         self.path = np.zeros((cap, width), dtype=np.int32)
         self.path_len = np.zeros(cap, dtype=np.int32)
         self.path_first = np.zeros((cap, width), dtype=bool)
-        # Walk installed flow-table entries: such flows need per-entry
-        # last_used_at stamps, so they keep accrual on the scalar path.
+        # The walk crossed installed flow-table entries, whose byte
+        # counters and last_used_at stamps accrual must also feed.
         self.has_entries = np.zeros(cap, dtype=bool)
 
     def grow_rows(self, need: int) -> None:
-        np = _np
         new_cap = max(self.cap * 2, need)
         for name in ("demand", "rate"):
             col = np.zeros(new_cap)
@@ -277,7 +257,6 @@ class FlowArrays:
         self.cap = new_cap
 
     def grow_width(self, need: int) -> None:
-        np = _np
         new_width = max(self.width * 2, need)
         path = np.zeros((self.cap, new_width), dtype=np.int32)
         path[:, : self.width] = self.path
@@ -295,7 +274,7 @@ class LinkArrays:
 
     def __init__(self, cap: int = 64) -> None:
         self.cap = cap
-        self.capacity = _np.zeros(cap)
+        self.capacity = np.zeros(cap)
         self.objs: List["LinkDirection"] = []
         self.slot_of: Dict["LinkDirection", int] = {}
 
@@ -305,7 +284,7 @@ class LinkArrays:
             slot = len(self.objs)
             if slot >= self.cap:
                 new_cap = self.cap * 2
-                capacity = _np.zeros(new_cap)
+                capacity = np.zeros(new_cap)
                 capacity[: self.cap] = self.capacity
                 self.capacity = capacity
                 self.cap = new_cap
@@ -325,8 +304,6 @@ class ArraysState:
     """
 
     def __init__(self) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - callers gate on HAVE_NUMPY
-            raise RuntimeError("ArraysState requires numpy")
         self.flows = FlowArrays()
         self.links = LinkArrays()
         self.slot_of: Dict[int, int] = {}      # flow id -> slot
@@ -421,25 +398,24 @@ class ArraysState:
             if slot is not None:
                 self.links.capacity[slot] = direction.capacity_bps
 
-    def zero_rate(self, fid: int) -> None:
-        """Mirror ``flow.rate_bps = 0`` done outside a recompute
-        (``stop_flow``), so a pre-recompute accrual flush adds 0."""
+    def set_rate(self, fid: int, rate: float) -> None:
+        """Mirror a rate written outside a solve: ``stop_flow`` zeroes
+        it, the symmetry quotient writes class rates back."""
         slot = self.slot_of.get(fid)
         if slot is not None:
-            self.flows.rate[slot] = 0.0
+            self.flows.rate[slot] = rate
 
     # -- live-set views ---------------------------------------------------
 
     def live_sorted(self):
         """``(fids, slots)`` arrays over every live row, fid-ascending.
 
-        Cached between intern/drop events — the fid order is what makes
-        every vectorized rebuild below replay the scalar loops' visit
-        order bit-for-bit.
+        Cached between intern/drop events.  Fid order is the canonical
+        add order of every per-host and per-direction sum, which is
+        what makes incremental and full recomputes agree bit for bit.
         """
         cached = self._live_cache
         if cached is None:
-            np = _np
             count = len(self.slot_of)
             fids = np.fromiter(self.slot_of.keys(), dtype=np.int64,
                                count=count)
@@ -450,9 +426,7 @@ class ArraysState:
         return cached
 
     def host_rates(self):
-        """Per-host ``(rx, tx)`` rate sums over live flows in fid order
-        — the scalar host-rate rebuild's exact add order."""
-        np = _np
+        """Per-host ``(rx, tx)`` rate sums over live flows, fid order."""
         __, slots = self.live_sorted()
         fa = self.flows
         rates = fa.rate[slots]
@@ -463,27 +437,22 @@ class ArraysState:
         return rx, tx
 
     def accruing(self):
-        """``(flows, slots, any_entries)`` for live flows with a
-        positive rate, in fid order — the scalar accruing rebuild."""
+        """``(flows, slots)`` of the live flows with a positive rate,
+        in fid order."""
         __, slots = self.live_sorted()
-        fa = self.flows
-        sel = slots[fa.rate[slots] > 0.0]
+        sel = slots[self.flows.rate[slots] > 0.0]
         objs = self.objs
-        flows = [objs[slot] for slot in sel.tolist()]
-        return flows, sel, bool(fa.has_entries[sel].any())
+        return [objs[slot] for slot in sel.tolist()], sel
 
     def components(self, seeds: Sequence["LinkDirection"]):
         """Partition the live flow/direction graph reachable from
-        *seeds* (scalar-BFS seed order) into connected components.
+        *seeds* into connected components.
 
         Returns ``(components, touched)``: per component the
-        ``(fids, slots)`` pair in fid-ascending order — the exact
-        membership and order the scalar BFS produces (both walk the
-        same delivered-flow incidence) — plus every direction visited,
-        including seed directions no live flow crosses (their stale
-        loads still get zeroed).
+        ``(fids, slots)`` pair in fid-ascending order, plus every
+        direction visited, including seed directions no live flow
+        crosses (their stale loads still get zeroed).
         """
-        np = _np
         fids_sorted, slots_sorted = self.live_sorted()
         fa = self.flows
         rows = fa.path[slots_sorted]
@@ -560,11 +529,9 @@ class ArraysState:
         """Solve one component given its flow slots (component fid order).
 
         Returns ``(rates, dirs, loads)``: the per-flow rate vector plus
-        the component's touched directions and their refreshed loads
-        (``np.add.at`` over the raw hop incidence in flow-major order —
-        the scalar refresh loop's exact visit order).
+        the component's directions and their refreshed loads (see
+        :meth:`loads`).
         """
-        np = _np
         fa = self.flows
         demands = fa.demand[slots]
         rows = fa.path[slots]
@@ -576,9 +543,9 @@ class ArraysState:
         entry_global = rows[first_mask]
         num_dirs = len(self.links.objs)
         # Dense-intern directions in first-appearance order along the
-        # flow-major entry stream — the scalar instance builder's
-        # order, so the heap tie-break (and thus the arithmetic) sees
-        # the identical instance.  (value·n + position) stabilizes the
+        # flow-major entry stream: a canonical instance, so exactly
+        # tied links break in the same order on every recompute of
+        # this component.  (value·n + position) stabilizes the
         # default sort, which beats both np.unique and stable argsort.
         total = entry_global.size
         order = np.argsort(entry_global.astype(np.int64) * total
@@ -598,24 +565,30 @@ class ArraysState:
         caps = self.links.capacity[uniq[appearance]]
         rates = _batch_fill(demands, caps, entry_flow, entry_link)
         fa.rate[slots] = rates
-        # Per-direction load refresh over the *raw* incidence
-        # (duplicated hops count twice, as in the scalar loop; the
-        # dense numbering here is arbitrary — only the per-direction
-        # add order matters, and that is the flow-major stream).
-        raw_flow = np.repeat(np.arange(slots.size), lens)
-        raw_global = rows[raw_mask]
-        uniq_raw = np.nonzero(np.bincount(raw_global,
-                                          minlength=num_dirs))[0]
-        rank[uniq_raw] = np.arange(uniq_raw.size)
-        loads = np.zeros(uniq_raw.size)
-        np.add.at(loads, rank[raw_global], rates[raw_flow])
-        dirs = [self.links.objs[i] for i in uniq_raw.tolist()]
+        dirs, loads = self._loads(rows[raw_mask], lens, rates)
         return rates, dirs, loads
 
-    def gather_slots(self, fids: Sequence[int]):
-        """Slot vector for a component's flow ids (already in fid order)."""
-        return _np.fromiter((self.slot_of[fid] for fid in fids),
-                            dtype=_np.int64, count=len(fids))
+    def loads(self, slots):
+        """``(dirs, loads)``: the directions the rows ``slots`` (fid
+        order) cross and the sum of their mirrored rates on each."""
+        fa = self.flows
+        rows = fa.path[slots]
+        lens = fa.path_len[slots]
+        mask = np.arange(rows.shape[1]) < lens[:, None]
+        return self._loads(rows[mask], lens, fa.rate[slots])
+
+    def _loads(self, hop_dir, lens, rates):
+        # Sums over the *raw* hop incidence (a twice-crossed direction
+        # counts the flow twice), added flow by flow in row order; the
+        # dense numbering is arbitrary, only the add order matters.
+        num_dirs = len(self.links.objs)
+        uniq = np.nonzero(np.bincount(hop_dir, minlength=num_dirs))[0]
+        rank = np.empty(num_dirs, dtype=np.int64)
+        rank[uniq] = np.arange(uniq.size)
+        loads = np.zeros(uniq.size)
+        np.add.at(loads, rank[hop_dir],
+                  rates[np.repeat(np.arange(lens.size), lens)])
+        return [self.links.objs[i] for i in uniq.tolist()], loads
 
     @property
     def stats(self) -> dict:
@@ -631,30 +604,25 @@ class ArraysState:
 class AccrualBatch:
     """One recompute's accruing set, prepared for vectorized flushes.
 
-    Built after every recompute from the accruing flows (fid order);
-    each :meth:`flush` replays one rate-timeline segment: the scalar
-    loop's ``rate * dt / 8.0`` per flow, scattered into flow, host,
-    direction and port byte counters through ``np.add.at`` in the
-    scalar loop's visit order — bit-identical counters, O(numpy)
-    instead of O(flows × hops) Python.
-
-    Only eligible accruing sets get a batch (no flow-table entries on
-    any accruing path — those need per-entry ``last_used_at`` stamps —
-    and no active quotient); the network falls back to the scalar loop
-    otherwise.
+    Built after every recompute from the accruing flows (fid order).
+    Each :meth:`flush` integrates one rate-timeline segment: ``rate *
+    dt / 8.0`` per flow, scattered through ``np.add.at`` into flow,
+    host, direction, port and flow-table-entry byte counters in (flow
+    id, path) order — the order integrating the flows one by one adds
+    in, so every counter is bit-identical to that, at O(numpy) instead
+    of O(flows × hops) Python.  Rates are read from the mirror at flush
+    time: a flow stopped since the batch was built adds exactly 0 and
+    stamps no entry.
     """
 
     __slots__ = ("state", "flows", "slots", "hop_flow", "hop_dir", "dirs",
-                 "src_idx", "src_hosts", "dst_idx", "dst_hosts")
+                 "src_idx", "src_hosts", "dst_idx", "dst_hosts",
+                 "entries", "entry_idx", "entry_flow")
 
     def __init__(self, state: ArraysState, flows: List["FluidFlow"],
-                 slots=None) -> None:
-        np = _np
+                 slots) -> None:
         self.state = state
         self.flows = flows
-        if slots is None:
-            slots = np.fromiter((state.slot_of[f.id] for f in flows),
-                                dtype=np.int64, count=len(flows))
         self.slots = slots
         fa = state.flows
         rows = fa.path[slots]
@@ -680,11 +648,29 @@ class AccrualBatch:
         self.dst_idx = hrank[dst]
         self.src_hosts = [state.hosts[i] for i in uniq_src.tolist()]
         self.dst_hosts = [state.hosts[i] for i in uniq_dst.tolist()]
+        # Flow-table entries the walks crossed (OpenFlow fabrics), in
+        # (flow, path.entries) order; one entry may serve many flows.
+        entries: List = []
+        entry_idx: List[int] = []
+        entry_flow: List[int] = []
+        position: Dict[int, int] = {}   # id(FlowEntry) -> buffer index
+        for pos in np.nonzero(fa.has_entries[slots])[0].tolist():
+            for __, entry in flows[pos].path.entries:
+                at = position.get(id(entry))
+                if at is None:
+                    at = position[id(entry)] = len(entries)
+                    entries.append(entry)
+                entry_idx.append(at)
+                entry_flow.append(pos)
+        self.entries = entries
+        self.entry_idx = np.array(entry_idx, dtype=np.int64)
+        self.entry_flow = np.array(entry_flow, dtype=np.int64)
 
-    def flush(self, dt: float) -> None:
-        """Accrue one piecewise-constant segment of length ``dt``."""
-        np = _np
-        transferred = self.state.flows.rate[self.slots] * dt / 8.0
+    def flush(self, dt: float, now: float) -> None:
+        """Accrue one piecewise-constant segment of length ``dt``
+        ending at ``now``."""
+        rates = self.state.flows.rate[self.slots]
+        transferred = rates * dt / 8.0
         for flow, amount in zip(self.flows, transferred.tolist()):
             flow.delivered_bytes += amount
         buf = np.fromiter((h.tx_bytes for h in self.src_hosts),
@@ -714,10 +700,24 @@ class AccrualBatch:
         np.add.at(buf, self.hop_dir, per_hop)
         for direction, value in zip(dirs, buf.tolist()):
             direction.dst_port.rx_bytes = value
+        entries = self.entries
+        if entries:
+            buf = np.fromiter((e.byte_count for e in entries),
+                              dtype=np.float64, count=len(entries))
+            np.add.at(buf, self.entry_idx, transferred[self.entry_flow])
+            # Idle timeouts read last_used_at: only entries carrying a
+            # flow that is still sending count as used.
+            used = np.zeros(len(entries), dtype=bool)
+            used[self.entry_idx[rates[self.entry_flow] > 0.0]] = True
+            for entry, value, hit in zip(entries, buf.tolist(),
+                                         used.tolist()):
+                entry.byte_count = value
+                if hit:
+                    entry.last_used_at = now
 
 
 __all__ = [
-    "HAVE_NUMPY",
+    "EPSILON",
     "AccrualBatch",
     "ArraysState",
     "FlowArrays",

@@ -18,60 +18,19 @@ defining properties and is used heavily by the property-based tests:
 * bottleneck justification — every flow not meeting its demand crosses
   at least one saturated link where it receives a maximal share.
 
-Kernel design (PR 2)
---------------------
-
-The solver hot loop runs on **dense integer-indexed arrays**, not on
-the id-keyed dicts and sets of the original implementation:
-
-* callers intern flow and link ids to contiguous integers once per
-  solve (:func:`max_min_allocation` does this internally for its
-  mapping API; the incremental reallocation engine in
-  :mod:`repro.dataplane.realloc` builds the arrays directly from its
-  path cache);
-* per-link state is three flat lists — residual capacity, live member
-  count and a precomputed member array — plus a flow→links adjacency
-  list, so one filling round is a branchy scan over flat lists instead
-  of dict lookups and set algebra;
-* freezing a flow decrements the live counters of exactly the links on
-  its path (via the adjacency) rather than subtracting a set from every
-  link's member set, removing the O(rounds × links × flows) set churn
-  of the original progressive filling.
-
-The kernels themselves live in :mod:`repro.dataplane.solver` (the
-unified facade: ``reference``, ``heap`` and ``arrays`` behind one
-registry); this module keeps the mapping-level API
-(:func:`max_min_allocation`, :func:`validate_allocation`) and, for one
-release, deprecation shims for the old direct kernel imports
-(``fluid.progressive_filling`` / ``fluid.bottleneck_filling``).
+The solve itself is :func:`repro.dataplane.arrays.bottleneck_filling_arrays`,
+the same vectorized kernel the reallocation engine runs; this module
+keeps the mapping-level API (:func:`max_min_allocation`,
+:func:`validate_allocation`) over it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, List, Mapping, Sequence
 
-from repro.dataplane.solver import EPSILON
-from repro.dataplane.solver import progressive_filling as _progressive_filling
+from repro.dataplane.arrays import EPSILON, bottleneck_filling_arrays
 
 __all__ = ["EPSILON", "max_min_allocation", "validate_allocation"]
-
-_DEPRECATED_KERNELS = ("progressive_filling", "bottleneck_filling")
-
-
-def __getattr__(name: str):
-    # PEP 562 shims: the kernels moved to repro.dataplane.solver.
-    if name in _DEPRECATED_KERNELS:
-        warnings.warn(
-            f"repro.dataplane.fluid.{name} is deprecated; import it from "
-            "repro.dataplane.solver (or use solver.get_kernel())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.dataplane import solver
-
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def max_min_allocation(
@@ -107,35 +66,24 @@ def max_min_allocation(
         demands.append(demand)
 
     link_index: Dict[Hashable, int] = {}
-    residuals: List[float] = []
     capacities: List[float] = []
-    link_members: List[List[int]] = []
     flow_links: List[List[int]] = []
-    for flow_pos, flow_id in enumerate(flow_ids):
-        member = demands[flow_pos] > EPSILON
+    for flow_id in flow_ids:
         links_here: List[int] = []
-        seen_here = set()
         for link_id in flow_paths[flow_id]:
             pos = link_index.get(link_id)
             if pos is None:
                 capacity = link_capacities[link_id]
                 if capacity < 0:
                     raise ValueError(f"negative capacity for link {link_id!r}")
-                pos = len(residuals)
+                pos = len(capacities)
                 link_index[link_id] = pos
-                residuals.append(float(capacity))
                 capacities.append(capacity)
-                link_members.append([])
-            if pos in seen_here:
-                continue  # a path crossing a link twice counts once
-            seen_here.add(pos)
-            links_here.append(pos)
-            if member:
-                link_members[pos].append(flow_pos)
+            if pos not in links_here:  # a path crossing a link twice
+                links_here.append(pos)  # counts once
         flow_links.append(links_here)
 
-    rates = _progressive_filling(demands, residuals, capacities,
-                                 link_members, flow_links)
+    rates = bottleneck_filling_arrays(demands, capacities, flow_links)
     return {flow_id: rates[pos] for pos, flow_id in enumerate(flow_ids)}
 
 

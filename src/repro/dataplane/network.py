@@ -35,15 +35,25 @@ from repro.dataplane.flow import FluidFlow, PathResult, PathStatus
 from repro.dataplane.host import Host
 from repro.dataplane.realloc import ReallocEngine
 from repro.dataplane.link import Link, LinkDirection
-from repro.dataplane.node import ForwardingDecision, Node
+from repro.dataplane.node import ForwardingDecision, Node, reset_auto_macs
 from repro.dataplane.router import Router
-from repro.dataplane.switch import Switch
+from repro.dataplane.switch import Switch, reset_dpids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulation import Simulation
     from repro.netproto.packet import Packet
 
 MAX_HOPS = 128
+
+
+def reset_process_counters() -> None:
+    """Zero every process-global id counter a run's results could
+    observe (link and flow ids, auto MACs, datapath ids), so a run
+    does not depend on what the process built before it."""
+    Link.reset_ids()
+    FluidFlow.reset_ids()
+    reset_auto_macs()
+    reset_dpids()
 
 
 class Network:
@@ -70,19 +80,15 @@ class Network:
         # (benchmarks A/B against it, and it is the paranoia fallback).
         self.realloc = ReallocEngine(self)
         self.incremental_realloc = True
-        # Flows currently accruing bytes (active + delivered + rate>0),
-        # maintained by the realloc engine so accrue() does not scan
-        # every flow ever created.
-        self._accruing: List[FluidFlow] = []
         # The rate timeline: piecewise-constant (dt, now) segments
         # recorded since the last flush.  All pending segments share
         # one rate vector — any code that changes a rate flushes first
         # — so recompute storms integrate in one batch instead of
         # visiting every flow per event.
         self._pending_accrual: List[tuple] = []
-        # Vectorized accrual pass over the accruing set, rebuilt by the
-        # realloc engine when the arrays kernel is live (None otherwise
-        # — the scalar loop runs instead).
+        # Vectorized accrual pass over the accruing flows (active,
+        # delivered, rate > 0), rebuilt by the realloc engine after
+        # every rate change; None while nothing accrues.
         self._accrual_batch = None
         # Minimum spacing between reallocations, in simulated seconds.
         # 0 recomputes at every distinct change instant (exact).  A few
@@ -216,7 +222,6 @@ class Network:
         self._last_accrual = sim.clock.now
         self.incremental_realloc = getattr(
             sim.config, "incremental_realloc", True)
-        self.realloc.kernel = getattr(sim.config, "kernel", "auto")
 
     def _require_sim(self) -> "Simulation":
         if self.sim is None:
@@ -256,11 +261,9 @@ class Network:
         self.accrue(self.now)
         flow.active = False
         flow.rate_bps = 0.0
-        state = self.realloc._arrays
-        if state is not None:
-            # Keep the SoA mirror's rate in lockstep so a later flush
-            # of deferred segments adds exactly 0 for this flow.
-            state.zero_rate(flow.id)
+        # Keep the mirror's rate in lockstep so a later flush of
+        # deferred segments adds exactly 0 for this flow.
+        self.realloc.arrays.set_rate(flow.id, 0.0)
         self.realloc.mark_flow_dirty(flow)
         self.invalidate_routing()
 
@@ -444,12 +447,12 @@ class Network:
         self._pending_accrual.append((dt, now))
 
     def _flush_accrual(self) -> None:
-        """Replay the pending rate-timeline segments into the counters.
+        """Integrate the pending rate-timeline segments into the
+        counters.
 
         Every pending segment was recorded against the current rate
-        vector (rate changes always flush first), so the vectorized
-        pass may collapse them; the scalar pass replays them one by
-        one to keep per-entry ``last_used_at`` stamps exact.
+        vector (rate changes always flush first), so one accrual batch
+        serves them all.
         """
         if not self._pending_accrual:
             return
@@ -457,27 +460,8 @@ class Network:
         self._pending_accrual = []
         batch = self._accrual_batch
         if batch is not None:
-            for dt, __ in segments:
-                batch.flush(dt)
-            return
-        for dt, seg_now in segments:
-            for flow in self._accruing:
-                if (not flow.active or flow.path is None
-                        or not flow.path.delivered):
-                    continue
-                if flow.rate_bps <= 0:
-                    continue
-                transferred = flow.rate_bps * dt / 8.0  # bits -> bytes
-                flow.delivered_bytes += transferred
-                flow.src.tx_bytes += transferred
-                flow.dst.rx_bytes += transferred
-                for hop in flow.path.hops:
-                    hop.bytes_carried += transferred
-                    hop.src_port.tx_bytes += transferred
-                    hop.dst_port.rx_bytes += transferred
-                for __, entry in flow.path.entries:
-                    entry.byte_count += transferred
-                    entry.last_used_at = seg_now
+            for dt, now in segments:
+                batch.flush(dt, now)
 
     def finalize_accounting(self) -> None:
         """Materialize any active quotient state back onto concrete

@@ -17,13 +17,13 @@ that explicitly started or stopped.
 
 **Scoped re-solve.**  Rates only change inside the connected
 component(s) of the flow/link sharing graph that a dirty flow or a
-capacity change touches.  The engine seeds a BFS with the old and new
-link directions of every re-walked flow (and the directions of
+capacity change touches.  The engine seeds a search with the old and
+new link directions of every re-walked flow (and the directions of
 capacity-changed links), partitions the reachable flows into
-components, and re-solves each component independently with a dense array kernel from
-the :mod:`repro.dataplane.solver` registry (``reference``/``heap``/
-``arrays``, selected by the engine's ``kernel`` knob), splicing
-unchanged rates through untouched components.
+components, and re-solves each component independently on the
+struct-of-arrays mirror (:mod:`repro.dataplane.arrays`), splicing
+unchanged rates through untouched components.  Loads, host rates and
+the accrual batch are rebuilt from the same mirror.
 
 A *full* recompute runs through the same partition-and-solve code with
 every active flow marked dirty, so the incremental path is bit-for-bit
@@ -41,10 +41,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.dataplane import arrays as _arrays
-from repro.dataplane import solver as _solver
+from repro.dataplane.arrays import AccrualBatch, ArraysState
 from repro.dataplane.flow import FluidFlow, PathStatus
-from repro.dataplane.solver import EPSILON
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,15 +82,8 @@ class ReallocEngine:
 
     def __init__(self, network: "Network") -> None:
         self.network = network
-        # Requested solver kernel (see repro.dataplane.solver):
-        # "auto" resolves per recompute — "arrays" when numpy is
-        # importable and no quotient layer is attached, else "heap".
-        # Legacy names ("bottleneck", "legacy") canonicalize on set.
-        self._kernel = "auto"
-        self._solve_kernel = "heap"  # resolved per recompute
-        # The persisted struct-of-arrays mirror (created lazily the
-        # first time a recompute resolves to the arrays kernel).
-        self._arrays: Optional[_arrays.ArraysState] = None
+        # The struct-of-arrays mirror of the delivered cached walks.
+        self.arrays = ArraysState()
         self._cache: Dict[int, _CachedWalk] = {}
         self._node_flows: Dict[str, Set[int]] = {}
         self._link_flows: Dict[int, Set[int]] = {}
@@ -112,20 +103,6 @@ class ReallocEngine:
         self.components_solved = 0
         self.flows_solved = 0
 
-    @property
-    def kernel(self) -> str:
-        """The requested solver kernel (canonical name)."""
-        return self._kernel
-
-    @kernel.setter
-    def kernel(self, name: str) -> None:
-        self._kernel = _solver.canonical_kernel(name)
-
-    def effective_kernel(self) -> str:
-        """The kernel the next recompute will actually run."""
-        return _solver.resolve_kernel(
-            self._kernel, quotient=self.quotient is not None)
-
     def enable_quotient(self, symmetry_map=None) -> None:
         """Attach the symmetry quotient layer (SimulationConfig.symmetry)."""
         from repro.symmetry.quotient import QuotientState
@@ -138,20 +115,6 @@ class ReallocEngine:
         """A flow started or stopped; re-walk it next recompute."""
         self._pending[flow.id] = flow
 
-    def forget(self) -> None:
-        """Drop all cached state (next recompute is full)."""
-        if self.quotient is not None:
-            self.quotient.materialize()
-        self._cache.clear()
-        self._node_flows.clear()
-        self._link_flows.clear()
-        self._dir_flows.clear()
-        self._seen_topo_epoch = None
-        self._pending.clear()
-        if self._arrays is not None:
-            self._arrays.reset()
-        self.network._accrual_batch = None
-
     # -- the recompute ----------------------------------------------------
 
     def recompute(self, now: float, full: bool = False) -> None:
@@ -163,6 +126,7 @@ class ReallocEngine:
 
     def _recompute(self, now: float, full: bool) -> None:
         net = self.network
+        state = self.arrays
         if self._seen_topo_epoch != net.topo_epoch:
             self._seen_topo_epoch = net.topo_epoch
             full = True
@@ -185,8 +149,7 @@ class ReallocEngine:
             self._node_flows.clear()
             self._link_flows.clear()
             self._dir_flows.clear()
-            if self._arrays is not None:
-                self._arrays.reset()
+            state.reset()
             dirty = {flow.id: flow for flow in net.flows if flow.active}
             for name, node in net.nodes.items():
                 self._seen_node_epoch[name] = node.fwd_epoch
@@ -196,6 +159,8 @@ class ReallocEngine:
         else:
             self.incremental_recomputes += 1
             dirty, cap_dirty_links = self._scan_epochs()
+            for link in cap_dirty_links:
+                state.patch_capacity(link)
             quotient = self.quotient
             if quotient is not None and quotient.active:
                 # Class-closed capacity-only dirt is handled entirely at
@@ -214,27 +179,9 @@ class ReallocEngine:
             net._flush_accrual()
         self._pending.clear()
 
-        # Resolve the solver kernel for this recompute and keep the
-        # struct-of-arrays mirror in lockstep with the cache (created
-        # lazily, bulk-interning surviving walks; dropped when the
-        # kernel switches away so it cannot go stale).
-        effective = self.effective_kernel()
-        if effective == "arrays":
-            state = self._arrays
-            if state is None:
-                state = self._arrays = _arrays.ArraysState()
-                for fid, cached in self._cache.items():
-                    if cached.delivered:
-                        state.intern_flow(fid, cached.flow, cached.dirs)
-        else:
-            state = None
-            if self._arrays is not None:
-                self._arrays = None
-                net._accrual_batch = None
-        self._solve_kernel = effective
-
         # Re-walk dirty flows (in id order, for deterministic PACKET_IN
-        # ordering), collecting the seed directions of the re-solve.
+        # ordering), keeping the mirror in lockstep with the cache and
+        # collecting the seed directions of the re-solve.
         seed_dirs: List["LinkDirection"] = []
         seen_seeds: Set[int] = set()  # id() of LinkDirection
 
@@ -251,8 +198,7 @@ class ReallocEngine:
                 for direction in old.dirs:
                     seed(direction)
             if not flow.active:
-                if state is not None:
-                    state.drop_flow(fid)
+                state.drop_flow(fid)
                 continue  # stopped: rate already zeroed by the network
             result = net.compute_path(flow)
             flow.path = result
@@ -263,133 +209,69 @@ class ReallocEngine:
             self._cache[fid] = entry
             self._index(fid, entry)
             if entry.delivered:
-                if state is not None:
-                    state.intern_flow(fid, flow, entry.dirs)
+                state.intern_flow(fid, flow, entry.dirs)
                 for direction in entry.dirs:
                     seed(direction)
             else:
-                if state is not None:
-                    state.drop_flow(fid)
+                state.drop_flow(fid)
                 flow.rate_bps = 0.0
         for link in cap_dirty_links:
             seed(link.forward)
             seed(link.reverse)
-            if state is not None:
-                state.patch_capacity(link)
 
         # Partition the affected region into connected components of
-        # the flow/direction sharing graph and re-solve each.  With the
-        # SoA mirror live, the BFS itself runs vectorized on the
-        # interned incidence (same graph: only delivered flows carry
-        # directions, and those are exactly the interned rows).
+        # the flow/direction sharing graph and re-solve each.
         if full:
             seed_dirs = list(self._dir_flows)
-            seen_seeds = {id(d) for d in seed_dirs}
         seed_dirs.sort(key=lambda d: d.key())
-        comp_loads = []  # arrays path: (dirs, loads) per component
-        if state is not None:
-            arr_components, touched_dirs = state.components(seed_dirs)
-            if arr_components:
-                with span("realloc.solve",
-                          components=len(arr_components),
-                          kernel=effective) as sp:
-                    for fids, slots in arr_components:
-                        comp_loads.append(
-                            self._solve_component_arrays(fids, slots))
-                    sp.set(flows=sum(len(f) for f, __ in arr_components))
-        else:
-            visited: Set[int] = set()  # id() of LinkDirection
-            touched_dirs = []
-            components: List[List[int]] = []
-            for start in seed_dirs:
-                if id(start) in visited:
-                    continue
-                visited.add(id(start))
-                touched_dirs.append(start)
-                comp: Set[int] = set()
-                stack = [start]
-                while stack:
-                    direction = stack.pop()
-                    for fid in self._dir_flows.get(direction, ()):
-                        if fid in comp:
-                            continue
-                        comp.add(fid)
-                        for other in self._cache[fid].dirs:
-                            if id(other) not in visited:
-                                visited.add(id(other))
-                                touched_dirs.append(other)
-                                stack.append(other)
-                if comp:
-                    components.append(sorted(comp))
-            if components:
-                with span("realloc.solve", components=len(components),
-                          kernel=effective) as sp:
-                    for comp in components:
-                        self._solve_component(comp)
-                    sp.set(flows=sum(len(c) for c in components))
+        components, touched_dirs = state.components(seed_dirs)
+        comp_loads = []
+        if components:
+            with span("realloc.solve", components=len(components)) as sp:
+                for __, slots in components:
+                    comp_loads.append(self._solve_component(slots))
+                sp.set(flows=sum(len(f) for f, __ in components))
 
         # Refresh link loads: only directions in the affected region
         # can have changed.  (A full recompute zeroes everything: stale
-        # loads may linger on directions no current flow crosses.)
-        if full:
-            for direction in net._all_directions():
-                direction.current_load_bps = 0.0
-        else:
-            for direction in touched_dirs:
-                direction.current_load_bps = 0.0
-        if state is not None:
-            # A direction belongs to exactly one component, and the
-            # vectorized per-component sums replay the scalar loop's
-            # add order, so assignment is exact.
-            for dirs, loads in comp_loads:
-                for direction, load in zip(dirs, loads.tolist()):
-                    direction.current_load_bps = load
-        else:
-            for comp in components:
-                for fid in comp:
-                    entry = self._cache[fid]
-                    rate = entry.flow.rate_bps
-                    for direction in entry.dirs:
-                        direction.current_load_bps += rate
-
-        # Host rates and the accruing-flow set, rebuilt in canonical
-        # (flow id) order so incremental and full recomputes produce
-        # identical floating-point sums.  The SoA mirror holds exactly
-        # the delivered flows, so the arrays path gathers both from it
-        # (same fid order, same per-host add order).
-        for host in net.hosts():
-            host.rx_rate_bps = 0.0
-            host.tx_rate_bps = 0.0
-        net._accrual_batch = None
-        if state is not None:
-            rx, tx = state.host_rates()
-            for host, rx_rate, tx_rate in zip(state.hosts, rx.tolist(),
-                                              tx.tolist()):
-                host.rx_rate_bps = rx_rate
-                host.tx_rate_bps = tx_rate
-            accruing, accruing_slots, any_entries = state.accruing()
-            net._accruing = accruing
-            # Vectorized accrual needs per-entry last_used_at stamps
-            # that only the scalar loop maintains, so flows carrying
-            # flow-table entries keep the whole set on the scalar path.
-            if accruing and not any_entries:
-                net._accrual_batch = _arrays.AccrualBatch(
-                    state, accruing, accruing_slots)
-        else:
-            accruing: List[FluidFlow] = []
-            for fid in sorted(self._cache):
-                entry = self._cache[fid]
-                if not entry.delivered:
-                    continue
-                flow = entry.flow
-                flow.dst.rx_rate_bps += flow.rate_bps
-                flow.src.tx_rate_bps += flow.rate_bps
-                if flow.rate_bps > 0:
-                    accruing.append(flow)
-            net._accruing = accruing
+        # loads may linger on directions no current flow crosses.)  A
+        # direction belongs to exactly one component, so assignment
+        # of the per-component sums is exact.
+        for direction in (net._all_directions() if full else touched_dirs):
+            direction.current_load_bps = 0.0
+        for dirs, loads in comp_loads:
+            for direction, load in zip(dirs, loads.tolist()):
+                direction.current_load_bps = load
+        self._publish()
 
         if self.quotient is not None:
             self.quotient.rebuild(now)
+
+    def publish_all(self) -> None:
+        """Rebuild every load, host rate and the accrual batch from the
+        mirror's current rates (the quotient's write-back)."""
+        dirs, loads = self.arrays.loads(self.arrays.live_sorted()[1])
+        for direction, load in zip(dirs, loads.tolist()):
+            direction.current_load_bps = load
+        self._publish()
+
+    def _publish(self) -> None:
+        # Host rates and the accruing set come from the mirror in
+        # canonical (flow id) order, so incremental and full recomputes
+        # produce identical floating-point sums.
+        net = self.network
+        state = self.arrays
+        for host in net.hosts():
+            host.rx_rate_bps = 0.0
+            host.tx_rate_bps = 0.0
+        rx, tx = state.host_rates()
+        for host, rx_rate, tx_rate in zip(state.hosts, rx.tolist(),
+                                          tx.tolist()):
+            host.rx_rate_bps = rx_rate
+            host.tx_rate_bps = tx_rate
+        accruing, slots = state.accruing()
+        net._accrual_batch = (AccrualBatch(state, accruing, slots)
+                              if accruing else None)
 
     # -- internals --------------------------------------------------------
 
@@ -446,72 +328,12 @@ class ReallocEngine:
                 if not flows:
                     del self._dir_flows[direction]
 
-    def _solve_component(self, comp: List[int]) -> None:
-        """Max-min solve one component with the dense array kernel.
-
-        The instance is built deterministically: flows in id order,
-        directions interned in first-appearance order along those
-        flows' cached paths.
-        """
+    def _solve_component(self, slots):
+        """Solve one component (its mirror slots, fid order) and write
+        the rates onto the flows; returns its ``(dirs, loads)``."""
         self.components_solved += 1
-        self.flows_solved += len(comp)
-        entries = [self._cache[fid] for fid in comp]
-        demands: List[float] = []
-        dir_index: Dict[int, int] = {}  # id() of LinkDirection -> dense
-        capacities: List[float] = []
-        link_members: List[List[int]] = []
-        flow_links: List[List[int]] = []
-        for pos, entry in enumerate(entries):
-            demand = entry.flow.demand_bps
-            demands.append(demand)
-            member = demand > EPSILON
-            links_here: List[int] = []
-            seen_here: Set[int] = set()
-            for direction in entry.dirs:
-                dense = dir_index.get(id(direction))
-                if dense is None:
-                    dense = len(capacities)
-                    dir_index[id(direction)] = dense
-                    capacities.append(direction.capacity_bps)
-                    link_members.append([])
-                if dense in seen_here:
-                    continue
-                seen_here.add(dense)
-                links_here.append(dense)
-                if member:
-                    link_members[dense].append(pos)
-            flow_links.append(links_here)
-        kernel = _solver.get_kernel(self._solve_kernel)
-        rates = kernel.solve(demands, capacities, link_members, flow_links)
-        for pos, entry in enumerate(entries):
-            entry.flow.rate_bps = rates[pos]
-
-    def _solve_component_arrays(self, comp, slots=None):
-        """Solve one component on the struct-of-arrays mirror.
-
-        Same instance the scalar builder would produce (the mirror's
-        first-occurrence marks reproduce its per-flow dedup, and
-        :meth:`ArraysState.solve_component` interns directions in the
-        identical first-appearance order), so the allocation is
-        bit-for-bit the heap kernel's.  ``comp`` is the component's fid
-        list; ``slots`` the matching slot vector when the caller got
-        the component from :meth:`ArraysState.components` (which reads
-        the mirror, so every member is interned by construction).
-        Returns the component's ``(dirs, loads)`` for the caller's
-        load refresh.
-        """
-        self.components_solved += 1
-        self.flows_solved += len(comp)
-        state = self._arrays
-        if slots is None:
-            for fid in comp:
-                # Normally interned at walk time; this covers a kernel
-                # switched to "arrays" mid-run (bulk-intern happens on
-                # state creation, walks keep it current thereafter).
-                if fid not in state.slot_of:
-                    cached = self._cache[fid]
-                    state.intern_flow(fid, cached.flow, cached.dirs)
-            slots = state.gather_slots(comp)
+        self.flows_solved += len(slots)
+        state = self.arrays
         rates, dirs, loads = state.solve_component(slots)
         objs = state.objs
         for slot, rate in zip(slots.tolist(), rates.tolist()):
@@ -521,15 +343,12 @@ class ReallocEngine:
     @property
     def stats(self) -> dict:
         """Counters for benchmarks and tests."""
-        stats = {
+        return {
             "cached_paths": len(self._cache),
             "full_recomputes": self.full_recomputes,
             "incremental_recomputes": self.incremental_recomputes,
             "flows_walked": self.flows_walked,
             "components_solved": self.components_solved,
             "flows_solved": self.flows_solved,
-            "kernel": self._kernel,
+            "arrays": self.arrays.stats,
         }
-        if self._arrays is not None:
-            stats["arrays"] = self._arrays.stats
-        return stats

@@ -45,9 +45,7 @@ from repro.api.metrics import (
 from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.dataplane.flow import FluidFlow
-from repro.dataplane.link import Link
-from repro.dataplane.node import reset_auto_macs
-from repro.dataplane.switch import reset_dpids
+from repro.dataplane.network import reset_process_counters
 from repro.obs.metrics import metrics
 from repro.obs.spans import TRACER, span
 from repro.results.records import (
@@ -233,15 +231,6 @@ def result_fingerprint(result_dict: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _reset_process_counters() -> None:
-    """Zero every process-global id counter a scenario's results could
-    observe, so runs are independent of process history."""
-    Link.reset_ids()
-    FluidFlow.reset_ids()
-    reset_auto_macs()
-    reset_dpids()
-
-
 class ScenarioRunner:
     """Runs :class:`ScenarioSpec` instances, one at a time."""
 
@@ -253,7 +242,7 @@ class ScenarioRunner:
         notebooks can poke at the materialized network.
         """
         spec.validate()
-        _reset_process_counters()
+        reset_process_counters()
 
         sim_params = dict(spec.sim_params)
         sim_params["seed"] = spec.seed
@@ -390,13 +379,6 @@ class ScenarioRunner:
         if kind not in cls._QUOTIENTABLE_PROTOCOLS:
             exp.network.symmetry_note = (
                 f"protocol {kind!r} is not quotientable; running concrete")
-            return
-        if exp.sim.config.kernel == "arrays":
-            # The quotient layer replays the scalar heap kernel at
-            # class level; an *explicit* arrays request wins (results
-            # are bit-identical either way — kernel parity is pinned).
-            exp.network.symmetry_note = (
-                "kernel 'arrays' requested explicitly; running concrete")
             return
         symmetry_map = SymmetryMap.from_topo(
             topo, pins=injection_pins(spec.injections))

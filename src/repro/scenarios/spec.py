@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
 from repro.results.records import spec_hash as _spec_hash
 from repro.results.slo import SLO, slo_from_dict
@@ -67,6 +68,33 @@ TOPOLOGY_BUILDERS: Dict[str, Callable[..., Topo]] = {
 
 PROTOCOL_KINDS = ("none", "static", "bgp", "ospf", "sdn")
 
+#: Protocols that program router FIBs, so the topology must build
+#: routers (their setup helpers find nothing to drive on switches).
+ROUTED_PROTOCOLS = ("static", "bgp", "ospf")
+
+#: Topology kinds whose devices are routers unless a ``device`` param
+#: says otherwise; every other builder makes OpenFlow switches.
+_ROUTER_TOPOLOGIES = ("wan", "graphml")
+
+#: The ``sim_params`` keys a spec may carry: SimulationConfig's fields.
+_SIM_PARAM_KEYS = frozenset(f.name for f in fields(SimulationConfig))
+
+
+def _check_sim_params(sim_params: Dict[str, Any]) -> None:
+    """Reject ``sim_params`` keys that are not SimulationConfig fields,
+    naming the key (a typo must not surface as a TypeError when the
+    scenario is built)."""
+    for key in sorted(sim_params):
+        if key == "kernel":
+            raise ConfigurationError(
+                "sim_params 'kernel' was removed: the data plane has one "
+                "max-min solver, and results never depended on the "
+                "kernel choice; drop the key")
+        if key not in _SIM_PARAM_KEYS:
+            raise ConfigurationError(
+                f"unknown sim_params key {key!r}; known keys: "
+                f"{', '.join(sorted(_SIM_PARAM_KEYS))}")
+
 TRAFFIC_PATTERNS = ("none", "permutation", "stride", "random",
                     "all_to_one", "one_to_all", "pairs", "matrix")
 
@@ -87,6 +115,12 @@ class TopologyRecipe:
                 f"unknown topology kind {self.kind!r}; "
                 f"choose from {sorted(TOPOLOGY_BUILDERS)}") from None
         return builder(**self.params)
+
+    def device_kind(self) -> str:
+        """``"router"`` or ``"switch"``: what the topology's forwarding
+        devices are, read off the recipe without building it."""
+        default = "router" if self.kind in _ROUTER_TOPOLOGIES else "switch"
+        return self.params.get("device", default)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -253,19 +287,14 @@ class ScenarioSpec:
                     f"ends (duration {self.duration})")
         for slo in self.slos:
             slo.validate()
-        kernel = self.sim_params.get("kernel")
-        if kernel is not None:
-            from repro.dataplane.solver import (
-                KERNEL_CHOICES,
-                canonical_kernel,
-            )
-
-            try:
-                canonical_kernel(kernel)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"unknown sim_params kernel {kernel!r}; valid "
-                    f"kernels: {', '.join(KERNEL_CHOICES)}") from None
+        if (self.protocol.kind in ROUTED_PROTOCOLS
+                and self.topology.device_kind() != "router"):
+            raise ConfigurationError(
+                f"protocol {self.protocol.kind!r} needs routers, but "
+                f"topology {self.topology.kind!r} builds "
+                f"{self.topology.device_kind()!r} devices; use protocol "
+                f"'sdn' or 'none', or a router topology (device=router)")
+        _check_sim_params(self.sim_params)
 
     # -- serialization -----------------------------------------------------
 
@@ -301,6 +330,7 @@ class ScenarioSpec:
                 f"unknown spec key{'s' if len(unknown) > 1 else ''} "
                 f"{', '.join(repr(k) for k in unknown)}; known keys: "
                 f"{', '.join(sorted(cls.KNOWN_KEYS))}")
+        _check_sim_params(data.get("sim_params", {}))
         return cls(
             name=data.get("name", "scenario"),
             seed=data.get("seed", 0),

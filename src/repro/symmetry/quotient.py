@@ -15,14 +15,15 @@ While the partition holds, a reallocation whose only dirt is
 class-closed capacity change (every affected direction class uniform
 at its new capacity — e.g. an SRLG degrading a whole pod tier) takes
 the **fast path**: a class-level connected-component walk plus
-:func:`quotient_bottleneck_filling`, a replay of the concrete
-bottleneck-filling kernel over class representatives.  Byte accrual
-runs per *class* accumulator instead of per flow.
+:func:`quotient_bottleneck_filling`, the concrete engine's water
+filling replayed over class representatives.  Byte accrual runs per
+*class* accumulator instead of per flow.
 
 Anything else — a flow starting or stopping, a forwarding-state or
 reachability change, a capacity change that splits a class —
 **materializes** the class values back onto the concrete flows
-(copy-on-write refinement: the quotient dissolves, the existing
+(copy-on-write refinement: the quotient dissolves, the class rates
+are written through the engine's struct-of-arrays mirror, the
 concrete engine handles the event exactly as it would without
 symmetry, and the next rebuild re-compresses whatever symmetry is
 left, with the divergent region falling into singleton classes).
@@ -33,9 +34,9 @@ Bit-for-bit contract
 The fast path reproduces the concrete engine's floating-point results
 exactly, not approximately:
 
-* the kernel replay performs the *same sequential additions* on a
-  representative link's ``frozen_load`` that the concrete kernel
-  performs on every member link — one two-operand ``+= rate`` per
+* the class solve performs the *same sequential additions* on a
+  representative link's ``frozen_load`` that the concrete arrays
+  kernel performs on every member link — one two-operand ``+= rate`` per
   crossing member flow, in non-decreasing water-level order (runs of
   equal addends commute, so per-event batching is exact); a plain
   ``count * rate`` multiplication would **not** be (``fl(k*v)`` is
@@ -60,15 +61,108 @@ exact; those scenarios simply run concrete.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.dataplane.solver import EPSILON, quotient_bottleneck_filling
+from repro.dataplane.arrays import EPSILON
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.link import Link, LinkDirection
     from repro.dataplane.realloc import ReallocEngine
     from repro.symmetry.refine import SymmetryMap
+
+
+def quotient_bottleneck_filling(
+    demands: Sequence[float],
+    capacities: Sequence[float],
+    alive_counts: Sequence[int],
+    link_members: Sequence[Sequence[int]],
+    flow_links: Sequence[Sequence[Tuple[int, int]]],
+) -> List[float]:
+    """Event-ordered max-min water filling over flow and link classes.
+
+    Indices are *classes*: ``demands[i]`` is the (uniform) demand of
+    flow class ``i``; ``capacities[j]`` the (uniform) capacity of a
+    representative member link of direction class ``j``;
+    ``alive_counts[j]`` how many member *flows* cross that
+    representative link; ``link_members[j]`` the flow classes crossing
+    it; ``flow_links[i]`` the ``(class, crossing_count)`` pairs of
+    flow class ``i``'s path.  The water level jumps straight to the
+    next event — the smallest unfrozen demand, or the smallest link
+    saturation level ``(capacity − frozen_load) / alive`` kept in lazy
+    heaps — and freezing a class replays ``crossing_count`` sequential
+    additions per representative link, the exact float trajectory
+    every concrete member link follows.
+
+    With every multiplicity 1 (singleton classes) this is the plain
+    concrete heap kernel, one event at a time: the bit-for-bit
+    reference the vectorized
+    :func:`repro.dataplane.arrays.bottleneck_filling_arrays` is held to.
+    """
+    num_flows = len(demands)
+    num_links = len(capacities)
+    rates = [0.0] * num_flows
+    # Zero-demand flows are born frozen at 0.
+    frozen = [demands[i] <= EPSILON for i in range(num_flows)]
+    alive_count = list(alive_counts)
+    frozen_load = [0.0] * num_links
+    current_key = [0.0] * num_links  # latest valid sat-heap key per link
+
+    demand_heap = [(demands[i], i) for i in range(num_flows) if not frozen[i]]
+    heapq.heapify(demand_heap)
+    sat_heap: List = []
+
+    def push_sat(link: int) -> None:
+        count = alive_count[link]
+        if count > 0:
+            level = (capacities[link] - frozen_load[link]) / count
+            current_key[link] = level
+            heapq.heappush(sat_heap, (level, link))
+
+    for link in range(num_links):
+        push_sat(link)
+
+    level = 0.0  # monotonically non-decreasing water level
+
+    def freeze(i: int, rate: float) -> None:
+        frozen[i] = True
+        rates[i] = rate
+        for link, mult in flow_links[i]:
+            load = frozen_load[link]
+            for __ in range(mult):
+                load += rate
+            frozen_load[link] = load
+            alive_count[link] -= mult
+            push_sat(link)
+
+    while True:
+        while demand_heap and frozen[demand_heap[0][1]]:
+            heapq.heappop(demand_heap)
+        while sat_heap and (alive_count[sat_heap[0][1]] == 0
+                            or sat_heap[0][0] != current_key[sat_heap[0][1]]):
+            heapq.heappop(sat_heap)
+        if not demand_heap and not sat_heap:
+            break
+        # Ties freeze by demand: the flow then gets its full demand.
+        if sat_heap and (not demand_heap
+                         or sat_heap[0][0] < demand_heap[0][0]):
+            sat_level, link = heapq.heappop(sat_heap)
+            if sat_level > level:
+                level = sat_level  # clamp against float undershoot
+            for i in link_members[link]:
+                if not frozen[i]:
+                    # level can overshoot a member's demand only by
+                    # float noise; never exceed the demand.
+                    freeze(i, level if level < demands[i] else demands[i])
+        else:
+            demand, i = heapq.heappop(demand_heap)
+            if frozen[i]:
+                continue
+            if demand > level:
+                level = demand
+            freeze(i, demand)
+    return rates
 
 
 class _FlowClass:
@@ -299,36 +393,22 @@ class QuotientState:
             self._materialize()
 
     def _materialize(self) -> None:
+        # Class values go back onto the concrete flows and the mirror
+        # (a member stopped since the rebuild keeps its zeroed rate);
+        # the engine then rebuilds loads, host rates and the accruing
+        # set from the mirror in fid order — the exact floats a
+        # concrete run would hold.
         engine = self.engine
-        net = engine.network
+        mirror = engine.arrays
         for fc in self.flow_classes:
             rate = fc.rate
             delivered = fc.delivered
             for flow in fc.flows:
-                flow.rate_bps = rate
                 flow.delivered_bytes = delivered
-        # Rebuild direction loads, host rates and the accruing set the
-        # way a concrete recompute does (fid order), so the values are
-        # the exact floats the concrete engine would hold.
-        for direction in engine._dir_flows:
-            direction.current_load_bps = 0.0
-        for host in net.hosts():
-            host.rx_rate_bps = 0.0
-            host.tx_rate_bps = 0.0
-        accruing = []
-        for fid in sorted(engine._cache):
-            entry = engine._cache[fid]
-            if not entry.delivered:
-                continue
-            flow = entry.flow
-            rate = flow.rate_bps
-            for direction in entry.dirs:
-                direction.current_load_bps += rate
-            flow.dst.rx_rate_bps += rate
-            flow.src.tx_rate_bps += rate
-            if rate > 0:
-                accruing.append(flow)
-        net._accruing = accruing
+                if flow.active:
+                    flow.rate_bps = rate
+                    mirror.set_rate(flow.id, rate)
+        engine.publish_all()
         self.active = False
         self.reason = "materialized"
 

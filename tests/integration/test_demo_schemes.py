@@ -11,6 +11,7 @@ import pytest
 from repro.api.demo import (
     DemoSettings,
     run_bgp_ecmp,
+    run_full_demonstration,
     run_hedera,
     run_sdn_ecmp,
 )
@@ -87,3 +88,32 @@ class TestControlPlanePatterns:
         # One burst at startup; nothing should re-enter FTI later.
         assert len(fti_entries) == 1
         assert fti_entries[0].time < 0.5
+
+
+def test_demonstrations_in_one_process_agree():
+    """A demonstration resets the process-global id counters (flows,
+    links, MACs, dpids) that ECMP and Hedera see, so repeating it in
+    the same process — back to back, or after a larger demonstration
+    has advanced the counters — reproduces the first exactly."""
+    settings = DemoSettings(k=4, duration=10.0, settle=2.0)
+
+    def summary(report):
+        return {name: (result.report.events_fired,
+                       result.mean_aggregate_rx_bps)
+                for name, result in report.results.items()}
+
+    first = summary(run_full_demonstration(settings))
+    assert summary(run_full_demonstration(settings)) == first
+    for k, duration in ((6, 2.0), (4, 3.0), (6, 4.0)):
+        run_full_demonstration(DemoSettings(k=k, duration=duration,
+                                            settle=1.0))
+        assert summary(run_full_demonstration(settings)) == first, (
+            f"after a k={k} {duration}s demonstration")
+
+
+def test_consecutive_bgp_runs_agree():
+    settings = DemoSettings(k=4, duration=10.0, settle=2.0)
+    first = run_bgp_ecmp(settings)
+    second = run_bgp_ecmp(settings)
+    assert second.report.events_fired == first.report.events_fired
+    assert second.mean_aggregate_rx_bps == first.mean_aggregate_rx_bps

@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -60,6 +61,18 @@ def assert_stores_equal(reference, candidate):
     assert candidate.fingerprints() == reference.fingerprints()
     assert candidate.canonical_digest() == reference.canonical_digest()
     assert diff_stores(reference, candidate).identical
+
+
+def wait_ingested(coordinator, count, timeout=60.0):
+    """Block until the coordinator has durably ingested ``count``
+    records: the crash point is then a record count, not a race
+    between the serving thread and ``stop()``'s socket shutdown."""
+    deadline = time.monotonic() + timeout
+    while coordinator.stats.records_ingested < count:
+        assert time.monotonic() < deadline, (
+            f"coordinator ingested {coordinator.stats.records_ingested} "
+            f"of {count} records within {timeout}s")
+        time.sleep(0.01)
 
 
 def run_cli(argv):
@@ -127,6 +140,7 @@ class TestCoordinatorCrashResume:
         coordinator.start()
         try:
             self._crash_after(coordinator, payloads, kill_after)
+            wait_ingested(coordinator, kill_after)
         finally:
             # The crash: no drain, no finish — the lease table and
             # dedup map die with the process; only the journal and the
@@ -178,6 +192,7 @@ class TestCoordinatorCrashResume:
         try:
             self._crash_after(coordinator,
                               [spec.to_dict() for spec in specs], 3)
+            wait_ingested(coordinator, 3)
         finally:
             coordinator.stop()
         journal_path = default_journal_path(store_path)

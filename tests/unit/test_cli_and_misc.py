@@ -113,6 +113,25 @@ class TestScenarioCli:
         with pytest.raises(SystemExit):
             cli.main(["scenario", "run", "--pattern-param", "nonsense"])
 
+    def test_trace_run_offers_every_spec_protocol(self):
+        from repro.scenarios.spec import PROTOCOL_KINDS
+
+        parser = cli.build_parser()
+        for kind in PROTOCOL_KINDS:
+            args = parser.parse_args(["trace", "run", "--protocol", kind])
+            assert args.protocol == kind
+
+    def test_trace_run_routed_protocol_on_switches_fails_cleanly(
+            self, tmp_path):
+        out = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["trace", "run", "--topo", "fattree",
+                      "--protocol", "ospf", "--out", str(out)])
+        message = str(excinfo.value.code)
+        assert "'ospf' needs routers" in message
+        assert "'fattree'" in message
+        assert not out.exists()
+
 
 class TestStatsExport:
     def make_collector(self):

@@ -328,6 +328,10 @@ class TestSimulationLoop:
         sim.run(until=0.2)
         assert fired == [0.005]
 
+    def test_simulation_config_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(0.001)
+
     def test_pure_fti_requires_until(self):
         sim = Simulation(SimulationConfig(clock_policy=ClockPolicy.PURE_FTI))
         with pytest.raises(ConfigurationError):

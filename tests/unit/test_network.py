@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.errors import DataPlaneError, TopologyError
 from repro.core.simulation import Simulation
+from repro.dataplane.arrays import AccrualBatch
 from repro.dataplane.flow import FluidFlow, PathStatus
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.network import Network
@@ -175,6 +176,66 @@ class TestRatesAndAccrual:
         sim.run(until=1.0)
         entry = s1.table.match_five_tuple(flow.key)
         assert entry.byte_count == pytest.approx(1e6)
+
+    def test_accrual_batch_equals_per_flow_loop(self, simple_net,
+                                                monkeypatch):
+        """Every vectorized flush leaves each flow, host, port,
+        direction and flow-entry counter bit-identical to integrating
+        the flows one by one, including entries shared by several
+        flows and flows stopped since the batch was built."""
+        sim, net, h1, h2, __ = simple_net
+        net.recompute_min_interval = 0.01
+        # Demand-limited rates with many significant bits, so a shared
+        # counter's sum depends on the order of its additions.
+        for start, (forward_end, backward_end) in enumerate(
+                ((0.5, 0.503), (0.8, 0.804), (1.0, 1.002), (1.0, 1.3))):
+            net.add_flow(FluidFlow(h1, h2, demand_bps=1e8 / (3 + 2 * start),
+                                   start_time=start / 10,
+                                   end_time=forward_end))
+            net.add_flow(FluidFlow(h2, h1, demand_bps=7e7 / (5 + start),
+                                   start_time=start / 10,
+                                   end_time=backward_end))
+        # Holds the reallocation after the stops at 1.0 back to 1.005:
+        # the stop at 1.002 then flushes a batch whose h1->h2 flows
+        # have all stopped.
+        sim.scheduler.at(0.995, net.invalidate_routing)
+        flush = AccrualBatch.flush
+        flushes = []
+
+        def checked_flush(batch, dt, now):
+            expected = {}   # (id(obj), attribute) -> (obj, value)
+            stamps = {id(e): (e, e.last_used_at) for e in batch.entries}
+
+            def add(obj, attribute, amount):
+                key = (id(obj), attribute)
+                value = expected.get(key, (obj, getattr(obj, attribute)))[1]
+                expected[key] = (obj, value + amount)
+
+            for flow in batch.flows:
+                if not flow.active or flow.rate_bps <= 0:
+                    continue
+                amount = flow.rate_bps * dt / 8.0
+                add(flow, "delivered_bytes", amount)
+                add(flow.src, "tx_bytes", amount)
+                add(flow.dst, "rx_bytes", amount)
+                for hop in flow.path.hops:
+                    add(hop, "bytes_carried", amount)
+                    add(hop.src_port, "tx_bytes", amount)
+                    add(hop.dst_port, "rx_bytes", amount)
+                for __, entry in flow.path.entries:
+                    add(entry, "byte_count", amount)
+                    expected[(id(entry), "last_used_at")] = (entry, now)
+            flush(batch, dt, now)
+            flushes.append(now)
+            for (__, attribute), (obj, value) in expected.items():
+                assert getattr(obj, attribute) == value, (attribute, now)
+            for key, (entry, before) in stamps.items():
+                if (key, "last_used_at") not in expected:
+                    assert entry.last_used_at == before, now
+
+        monkeypatch.setattr(AccrualBatch, "flush", checked_flush)
+        sim.run(until=1.5)
+        assert len(flushes) > 5
 
     def test_aggregate_rx_rate(self, simple_net):
         sim, net, h1, h2, __ = simple_net

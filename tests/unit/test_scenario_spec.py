@@ -196,6 +196,36 @@ class TestScenarioSpecRoundTrip:
         with pytest.raises(ConfigurationError):
             spec.validate()
 
+    def test_unknown_sim_param_rejected_by_name(self):
+        spec = self.make_spec()
+        spec.sim_params = {"fti_incremnt": 0.01}
+        with pytest.raises(ConfigurationError, match="'fti_incremnt'"):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match="'fti_incremnt'"):
+            ScenarioSpec.from_dict(spec.to_dict())
+
+    def test_removed_kernel_sim_param_explained(self):
+        spec = self.make_spec()
+        spec.sim_params = {"kernel": "arrays"}
+        with pytest.raises(ConfigurationError,
+                           match="removed.*never depended"):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match="removed"):
+            ScenarioSpec.from_dict(spec.to_dict())
+
+    @pytest.mark.parametrize("protocol", ["ospf", "bgp", "static"])
+    def test_routed_protocol_on_switch_topology_rejected(self, protocol):
+        spec = self.make_spec()
+        spec.injections = []
+        spec.protocol = ProtocolRecipe(protocol, {})
+        spec.topology = TopologyRecipe("fattree", {"k": 4})
+        with pytest.raises(ConfigurationError,
+                           match=f"'{protocol}' needs routers.*'fattree'"):
+            spec.validate()
+        spec.topology = TopologyRecipe("fattree",
+                                       {"k": 4, "device": "router"})
+        spec.validate()
+
     def test_validate_rejects_bad_duration(self):
         spec = self.make_spec()
         spec.duration = 0.0
