@@ -87,7 +87,7 @@ def setup_static_routes(
     router-router links, exactly as an operator pre-provisioning
     static routes would.  By default each destination gets a *single*
     next hop (the lexicographically first shortest-path neighbor), so
-    forwarding is deterministic and symmetry-preserving; ``ecmp=True``
+    forwarding is deterministic; ``ecmp=True``
     installs all shortest-path next hops instead (hashed per flow).
 
     Returns routes installed per router (diagnostics only).

@@ -261,19 +261,27 @@ def _build_generated_spec(args: argparse.Namespace, seed: int):
     return spec
 
 
+def _load_spec_file(path: str):
+    """The scenario spec a JSON file holds; exits cleanly when the
+    file is unreadable or the spec is invalid."""
+    from repro.core.errors import ConfigurationError, SimulationError
+    from repro.scenarios import ScenarioSpec
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return ScenarioSpec.from_json(handle.read())
+    except ConfigurationError as exc:
+        raise SystemExit(f"invalid scenario: {exc}")
+    except (OSError, ValueError, KeyError, TypeError,
+            SimulationError) as exc:
+        raise SystemExit(f"cannot load scenario spec {path!r}: {exc!r}")
+
+
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import ScenarioRunner, ScenarioSpec
+    from repro.scenarios import ScenarioRunner
 
     if args.spec is not None:
-        from repro.core.errors import SimulationError
-
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
+        spec = _load_spec_file(args.spec)
         # CLI-given SLOs compose with whatever the spec file carries.
         spec.slos = list(spec.slos) + _parse_slos(args.slo)
     else:
@@ -364,18 +372,10 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_spans_jsonl,
     )
-    from repro.scenarios import ScenarioRunner, ScenarioSpec
+    from repro.scenarios import ScenarioRunner
 
     if args.spec is not None:
-        from repro.core.errors import SimulationError
-
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
+        spec = _load_spec_file(args.spec)
         spec.slos = list(spec.slos) + _parse_slos(args.slo)
     else:
         spec = _build_generated_spec(args, args.seed)
@@ -500,34 +500,6 @@ def _emit_campaign_stats(stats, as_json: bool) -> bool:
         return True
     print(stats.summary())
     return False
-
-
-def _cmd_topo_classes(args: argparse.Namespace) -> int:
-    from repro.core.errors import SimulationError
-    from repro.symmetry import SymmetryMap, symmetry_map_for_spec
-
-    if args.spec is not None:
-        from repro.scenarios import ScenarioSpec
-
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                SimulationError) as exc:
-            raise SystemExit(
-                f"cannot load scenario spec {args.spec!r}: {exc!r}")
-        symmetry_map = symmetry_map_for_spec(spec)
-    else:
-        from repro.scenarios import TopologyRecipe
-
-        recipe = TopologyRecipe(args.topo, _parse_kv_params(args.topo_param))
-        try:
-            topo = recipe.build()
-        except SimulationError as exc:
-            raise SystemExit(f"cannot build topology: {exc}")
-        symmetry_map = SymmetryMap.from_topo(topo)
-    print(symmetry_map.describe(max_members=args.max_members))
-    return 0
 
 
 def _cmd_topo_import(args: argparse.Namespace) -> int:
@@ -1150,22 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_scenario_sweep)
 
     topo = sub.add_parser(
-        "topo", help="topology tools: symmetry classes, GraphML import")
+        "topo", help="topology tools: GraphML import")
     topo_sub = topo.add_subparsers(dest="topo_command", required=True)
-
-    tclasses = topo_sub.add_parser(
-        "classes",
-        help="detect structural automorphism classes and compression")
-    tclasses.add_argument("--spec", default=None, metavar="FILE",
-                          help="scenario spec JSON: uses its topology with "
-                               "every injection target pinned")
-    tclasses.add_argument("--topo", default="fattree",
-                          help="topology recipe kind (ignored with --spec)")
-    tclasses.add_argument("--topo-param", action="append", metavar="K=V",
-                          help="topology builder parameter (repeatable)")
-    tclasses.add_argument("--max-members", type=int, default=6,
-                          help="class members listed per row")
-    tclasses.set_defaults(func=_cmd_topo_classes)
 
     timport = topo_sub.add_parser(
         "import", help="import a GraphML file as a topology recipe")

@@ -47,14 +47,6 @@ class SimulationConfig:
         full walk-and-solve on every reallocation — the pre-PR-2
         behaviour, kept for A/B benchmarks and as a paranoia fallback.
         Results are identical either way.
-    symmetry:
-        Enable quotient simulation over detected structural symmetry
-        classes (see :mod:`repro.symmetry`).  Off by default.  When
-        on, class-closed events are handled at class level (one
-        representative per automorphism class) and anything
-        symmetry-breaking falls back to concrete simulation of the
-        divergent region; scenario results are bit-for-bit identical
-        either way (pinned by the quotient==concrete property test).
     """
 
     fti_increment: float = 0.001
@@ -65,7 +57,6 @@ class SimulationConfig:
     seed: int = 42
     max_events: int = 0
     incremental_realloc: bool = True
-    symmetry: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsense values."""

@@ -21,11 +21,9 @@ numpy state that persists across recomputes:
   of the links at the minimum key.  Within a batch the
   ``frozen_load`` additions run through ``np.add.at`` one flow at a
   time, and runs of equal addends commute, so the float trajectory is
-  bit-for-bit that of the one-event-at-a-time heap replay
-  :func:`repro.symmetry.quotient.quotient_bottleneck_filling` (with
-  every multiplicity 1) — pinned by
-  ``tests/property/test_maxmin_oracle.py``, which also holds both to
-  an exact rational oracle.
+  bit-for-bit that of a one-event-at-a-time heap replay — pinned by
+  ``tests/property/test_maxmin_oracle.py``, which keeps that replay
+  as its reference and also holds both to an exact rational oracle.
 * :class:`AccrualBatch` — one vectorized byte-accrual pass per rate
   timeline segment: ``rate · dt / 8`` elementwise, then ``np.add.at``
   scatters into gathered host/port/direction/flow-entry counter
@@ -399,8 +397,8 @@ class ArraysState:
                 self.links.capacity[slot] = direction.capacity_bps
 
     def set_rate(self, fid: int, rate: float) -> None:
-        """Mirror a rate written outside a solve: ``stop_flow`` zeroes
-        it, the symmetry quotient writes class rates back."""
+        """Mirror a rate written outside a solve (``stop_flow`` zeroes
+        it)."""
         slot = self.slot_of.get(fid)
         if slot is not None:
             self.flows.rate[slot] = rate
@@ -529,8 +527,7 @@ class ArraysState:
         """Solve one component given its flow slots (component fid order).
 
         Returns ``(rates, dirs, loads)``: the per-flow rate vector plus
-        the component's directions and their refreshed loads (see
-        :meth:`loads`).
+        the component's directions and their refreshed loads.
         """
         fa = self.flows
         demands = fa.demand[slots]
@@ -565,30 +562,17 @@ class ArraysState:
         caps = self.links.capacity[uniq[appearance]]
         rates = _batch_fill(demands, caps, entry_flow, entry_link)
         fa.rate[slots] = rates
-        dirs, loads = self._loads(rows[raw_mask], lens, rates)
-        return rates, dirs, loads
-
-    def loads(self, slots):
-        """``(dirs, loads)``: the directions the rows ``slots`` (fid
-        order) cross and the sum of their mirrored rates on each."""
-        fa = self.flows
-        rows = fa.path[slots]
-        lens = fa.path_len[slots]
-        mask = np.arange(rows.shape[1]) < lens[:, None]
-        return self._loads(rows[mask], lens, fa.rate[slots])
-
-    def _loads(self, hop_dir, lens, rates):
-        # Sums over the *raw* hop incidence (a twice-crossed direction
-        # counts the flow twice), added flow by flow in row order; the
-        # dense numbering is arbitrary, only the add order matters.
-        num_dirs = len(self.links.objs)
-        uniq = np.nonzero(np.bincount(hop_dir, minlength=num_dirs))[0]
-        rank = np.empty(num_dirs, dtype=np.int64)
-        rank[uniq] = np.arange(uniq.size)
-        loads = np.zeros(uniq.size)
+        # Loads sum over the *raw* hop incidence (a twice-crossed
+        # direction counts the flow twice), added flow by flow in row
+        # order; the dense numbering is arbitrary, only the add order
+        # matters.
+        hop_dir = rows[raw_mask]
+        crossed = np.nonzero(np.bincount(hop_dir, minlength=num_dirs))[0]
+        rank[crossed] = np.arange(crossed.size)
+        loads = np.zeros(crossed.size)
         np.add.at(loads, rank[hop_dir],
                   rates[np.repeat(np.arange(lens.size), lens)])
-        return [self.links.objs[i] for i in uniq.tolist()], loads
+        return rates, [self.links.objs[i] for i in crossed.tolist()], loads
 
     @property
     def stats(self) -> dict:

@@ -428,22 +428,11 @@ class Network:
         self._flush_accrual()
 
     def _defer_accrue(self, now: float) -> None:
-        """Record one piecewise-constant rate segment ending at ``now``.
-
-        Quotient mode never defers: class-level accrual is already one
-        batched pass, and the quotient owns the counter bookkeeping.
-        """
+        """Record one piecewise-constant rate segment ending at ``now``."""
         dt = now - self._last_accrual
         if dt <= 0:
             return
         self._last_accrual = now
-        quotient = self.realloc.quotient
-        if quotient is not None and quotient.active:
-            # Quotient mode: one accrual per flow class.  Per-hop/port
-            # byte counters are not maintained here — the runner only
-            # activates the quotient for protocols that never read them.
-            quotient.accrue(dt, now)
-            return
         self._pending_accrual.append((dt, now))
 
     def _flush_accrual(self) -> None:
@@ -464,15 +453,11 @@ class Network:
                 batch.flush(dt, now)
 
     def finalize_accounting(self) -> None:
-        """Materialize any active quotient state back onto concrete
-        flows and flush deferred byte accrual (no-ops otherwise).
-        Callers reading per-flow bytes after a run (the scenario
-        runner, result extraction) go through this.
+        """Flush deferred byte accrual so per-flow counters are
+        current.  Callers reading per-flow bytes after a run (the
+        scenario runner, result extraction) go through this.
         """
         self._flush_accrual()
-        quotient = self.realloc.quotient
-        if quotient is not None:
-            quotient.materialize()
 
     def aggregate_rx_rate(self) -> float:
         """Total rate arriving at all hosts (bps) — the demo's metric."""

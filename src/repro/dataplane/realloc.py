@@ -94,20 +94,12 @@ class ReallocEngine:
         self._seen_topo_epoch: Optional[int] = None
         # Flows whose activation changed since the last recompute.
         self._pending: Dict[int, FluidFlow] = {}
-        # Optional symmetry quotient layer (see repro.symmetry.quotient).
-        self.quotient = None
         # Counters for benchmarks and tests.
         self.full_recomputes = 0
         self.incremental_recomputes = 0
         self.flows_walked = 0
         self.components_solved = 0
         self.flows_solved = 0
-
-    def enable_quotient(self, symmetry_map=None) -> None:
-        """Attach the symmetry quotient layer (SimulationConfig.symmetry)."""
-        from repro.symmetry.quotient import QuotientState
-
-        self.quotient = QuotientState(self, symmetry_map)
 
     # -- mutation notifications -------------------------------------------
 
@@ -137,13 +129,9 @@ class ReallocEngine:
         # exception — an incremental recompute that finds no dirt at
         # all — returns early below, leaving accrual deferred: that is
         # the rate-epoch short-circuit for recompute storms.
-        if full or self.quotient is not None:
-            net._flush_accrual()
-
         cap_dirty_links: List = []
         if full:
-            if self.quotient is not None:
-                self.quotient.materialize()
+            net._flush_accrual()
             self.full_recomputes += 1
             self._cache.clear()
             self._node_flows.clear()
@@ -161,16 +149,7 @@ class ReallocEngine:
             dirty, cap_dirty_links = self._scan_epochs()
             for link in cap_dirty_links:
                 state.patch_capacity(link)
-            quotient = self.quotient
-            if quotient is not None and quotient.active:
-                # Class-closed capacity-only dirt is handled entirely at
-                # class level; anything else materializes first so the
-                # concrete path below sees consistent concrete state.
-                if not dirty and quotient.try_fast_cap_update(cap_dirty_links):
-                    self._pending.clear()
-                    return
-                quotient.materialize()
-            elif quotient is None and not dirty and not cap_dirty_links:
+            if not dirty and not cap_dirty_links:
                 # Nothing changed: no walk, no solve, no rate change —
                 # and no accrual flush needed (rates are unchanged, so
                 # pending segments stay mergeable).
@@ -242,17 +221,6 @@ class ReallocEngine:
         for dirs, loads in comp_loads:
             for direction, load in zip(dirs, loads.tolist()):
                 direction.current_load_bps = load
-        self._publish()
-
-        if self.quotient is not None:
-            self.quotient.rebuild(now)
-
-    def publish_all(self) -> None:
-        """Rebuild every load, host rate and the accrual batch from the
-        mirror's current rates (the quotient's write-back)."""
-        dirs, loads = self.arrays.loads(self.arrays.live_sorted()[1])
-        for direction, load in zip(dirs, loads.tolist()):
-            direction.current_load_bps = load
         self._publish()
 
     def _publish(self) -> None:

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 One `snapshot()` subsumes the per-subsystem stats dicts scattered
-around the tree (`ReallocEngine.stats`, `QuotientState.stats()`,
-`WorkerStats`, coordinator stats, store seal/merge counts): subsystems
+around the tree (`ReallocEngine.stats`, `WorkerStats`, coordinator
+stats, store seal/merge counts): subsystems
 either bump registry counters directly for rare events, or mirror their
 existing hot-path attribute counters in via `set_stats(prefix, dict)`
 at natural flush points (end of a scenario run, heartbeat ticks).
@@ -103,8 +103,7 @@ class MetricsRegistry:
     def set_stats(self, prefix: str, stats: Mapping[str, object]) -> None:
         """Mirror a subsystem stats dict into gauges under ``prefix.``.
 
-        Non-numeric values (nested dicts, strings) are skipped — the
-        quotient stats dict for instance carries a `reason` string.
+        Non-numeric values (nested dicts, strings) are skipped.
         Booleans become 0/1.
         """
         for key, value in stats.items():

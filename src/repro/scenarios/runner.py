@@ -248,12 +248,9 @@ class ScenarioRunner:
         sim_params["seed"] = spec.seed
         config = SimulationConfig(**sim_params)
         exp = Experiment(spec.name, config=config)
-        topo = spec.topology.build()
-        exp.load_topo(topo)
+        exp.load_topo(spec.topology.build())
 
         self._setup_protocol(exp, spec)
-        if config.symmetry:
-            self._setup_symmetry(exp, spec, topo)
         self._setup_traffic(exp, spec)
 
         outcomes: List[InjectionOutcome] = []
@@ -287,8 +284,8 @@ class ScenarioRunner:
                 result = exp.run(until=spec.duration)
         finally:
             TRACER.set_virtual_clock(None)
-        # Lift any quotient state back to concrete per-flow values
-        # before anything below reads them (no-op without symmetry).
+        # Bring deferred byte accrual current before anything below
+        # reads per-flow bytes.
         exp.network.finalize_accounting()
 
         converged, convergence_time = self._convergence(exp, spec)
@@ -341,49 +338,15 @@ class ScenarioRunner:
         reg.histogram("scenario.wall_seconds").observe(
             scenario_result.wall_seconds)
         reg.set_stats("realloc", exp.network.realloc.stats)
-        quotient = exp.network.realloc.quotient
-        if quotient is not None:
-            reg.set_stats("quotient", quotient.stats())
 
     # -- internals ---------------------------------------------------------
 
     @staticmethod
     def _diagnostics(exp: Experiment) -> Dict[str, Any]:
-        diagnostics: Dict[str, Any] = {
+        return {
             "realloc": dict(exp.network.realloc.stats),
             "incremental_realloc": exp.network.incremental_realloc,
         }
-        if getattr(exp.sim.config, "symmetry", False):
-            quotient = exp.network.realloc.quotient
-            if quotient is not None:
-                diagnostics["symmetry"] = quotient.stats()
-            else:
-                diagnostics["symmetry"] = {
-                    "active": False,
-                    "reason": getattr(exp.network, "symmetry_note",
-                                      None) or "unavailable",
-                }
-        return diagnostics
-
-    # Protocols whose runs the quotient layer can compress: no control
-    # plane (or one fully resolved at setup time) and nothing reading
-    # the per-hop/port byte counters class accrual skips.
-    _QUOTIENTABLE_PROTOCOLS = ("none", "static")
-
-    @classmethod
-    def _setup_symmetry(cls, exp: Experiment, spec: ScenarioSpec,
-                        topo) -> None:
-        from repro.symmetry import SymmetryMap, injection_pins
-
-        kind = spec.protocol.kind
-        if kind not in cls._QUOTIENTABLE_PROTOCOLS:
-            exp.network.symmetry_note = (
-                f"protocol {kind!r} is not quotientable; running concrete")
-            return
-        symmetry_map = SymmetryMap.from_topo(
-            topo, pins=injection_pins(spec.injections))
-        exp.network.symmetry_map = symmetry_map
-        exp.network.realloc.enable_quotient(symmetry_map)
 
     @staticmethod
     def _setup_protocol(exp: Experiment, spec: ScenarioSpec) -> None:

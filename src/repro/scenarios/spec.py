@@ -42,11 +42,10 @@ from repro.traffic import patterns
 #: Version of the serialized spec schema.  v1 was the PR 1 shape; v2
 #: added the ``slos`` assertion list; v3 added the traffic ``flows``
 #: list (explicit per-flow [src, dst, rate_bps] entries — the
-#: traffic-matrix families); v4 adds the "static" protocol kind, the
-#: "graphml" topology kind, and the ``symmetry`` sim_params knob
-#: (quotient simulation — fingerprint-covered via the spec hash like
-#: every sim_params field).  Older spec files load fine — the new
-#: fields default off.
+#: traffic-matrix families); v4 added the "static" protocol kind, the
+#: "graphml" topology kind, and a ``symmetry`` sim_params knob.  That
+#: knob has since been removed; specs carrying it are rejected at parse
+#: time.  Older spec files load fine — the new fields default off.
 SPEC_SCHEMA_VERSION = 4
 
 
@@ -79,17 +78,25 @@ _ROUTER_TOPOLOGIES = ("wan", "graphml")
 #: The ``sim_params`` keys a spec may carry: SimulationConfig's fields.
 _SIM_PARAM_KEYS = frozenset(f.name for f in fields(SimulationConfig))
 
+#: ``sim_params`` keys that once existed, with why they are gone.
+_REMOVED_SIM_PARAMS = {
+    "kernel": ("the data plane has one max-min solver, and results "
+               "never depended on the kernel choice"),
+    "symmetry": ("the symmetry quotient was deleted; every scenario "
+                 "runs on the one concrete engine, and results never "
+                 "depended on the knob"),
+}
+
 
 def _check_sim_params(sim_params: Dict[str, Any]) -> None:
     """Reject ``sim_params`` keys that are not SimulationConfig fields,
     naming the key (a typo must not surface as a TypeError when the
     scenario is built)."""
     for key in sorted(sim_params):
-        if key == "kernel":
+        if key in _REMOVED_SIM_PARAMS:
             raise ConfigurationError(
-                "sim_params 'kernel' was removed: the data plane has one "
-                "max-min solver, and results never depended on the "
-                "kernel choice; drop the key")
+                f"sim_params {key!r} was removed: "
+                f"{_REMOVED_SIM_PARAMS[key]}; drop the key")
         if key not in _SIM_PARAM_KEYS:
             raise ConfigurationError(
                 f"unknown sim_params key {key!r}; known keys: "

@@ -5,7 +5,7 @@ academic topology datasets publish — into a :class:`Topo`: every
 graph node becomes a router (optionally a switch), every edge a link,
 and ``hosts_per_node`` hosts hang off each router with per-router /24
 subnets and gateways, so the imported fabric is immediately usable
-with the static/BGP/OSPF control planes and symmetry detection.
+with the static/BGP/OSPF control planes.
 
 Only the stdlib XML parser is used; no schema validation beyond what
 the import needs.  Namespaced and namespace-free documents both load

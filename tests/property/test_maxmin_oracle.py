@@ -10,17 +10,16 @@ to ground truth at every level:
   results must land within a few ulps of the instance's magnitude per
   event (:func:`assert_near_oracle`), never within an absolute epsilon.
 * **Bit-for-bit replay.**  The kernel freezes in batches; the
-  one-event-at-a-time heap replay
-  :func:`repro.symmetry.quotient.quotient_bottleneck_filling` with
-  every multiplicity 1 performs exactly the same float additions, so
-  the two agree with ``==`` per element.
+  one-event-at-a-time heap replay :func:`heap_replay` performs exactly
+  the same float additions, so the two agree with ``==`` per element.
 * **Engine and scenario level.**  The reallocation engine's persisted
   struct-of-arrays mirror, driven through random churn, matches the
   oracle at every step and a from-scratch full recompute bit for bit;
-  scenario fingerprints are equal with symmetry and incremental
-  reallocation each on and off.
+  scenario fingerprints are equal with incremental reallocation on
+  and off.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -41,7 +40,6 @@ from repro.scenarios import (
     TrafficRecipe,
     run_scenario,
 )
-from repro.symmetry.quotient import quotient_bottleneck_filling
 
 GBPS = 1_000_000_000
 
@@ -141,15 +139,80 @@ def dense_instances(draw, clean):
 
 
 def heap_replay(demands, capacities, flow_links):
-    """:func:`quotient_bottleneck_filling` with singleton classes."""
-    members = [[] for __ in capacities]
+    """Event-ordered max-min water filling, one event at a time.
+
+    The water level jumps straight to the next event — the smallest
+    unfrozen demand, or the smallest link saturation level
+    ``(capacity − frozen_load) / alive`` kept in a lazy heap — and
+    freezing a flow adds its rate to each of its links' ``frozen_load``
+    in path order.  This is the bit-for-bit reference the batched
+    :func:`bottleneck_filling_arrays` is held to.
+    """
+    num_flows = len(demands)
+    num_links = len(capacities)
+    rates = [0.0] * num_flows
+    # Zero-demand flows are born frozen at 0.
+    frozen = [demands[i] <= EPSILON for i in range(num_flows)]
+    members = [[] for __ in range(num_links)]
     for i, links in enumerate(flow_links):
-        if demands[i] > EPSILON:
+        if not frozen[i]:
             for link in links:
                 members[link].append(i)
-    return quotient_bottleneck_filling(
-        demands, capacities, [len(m) for m in members], members,
-        [[(link, 1) for link in links] for links in flow_links])
+    alive_count = [len(m) for m in members]
+    frozen_load = [0.0] * num_links
+    current_key = [0.0] * num_links  # latest valid sat-heap key per link
+
+    demand_heap = [(demands[i], i) for i in range(num_flows) if not frozen[i]]
+    heapq.heapify(demand_heap)
+    sat_heap = []
+
+    def push_sat(link):
+        count = alive_count[link]
+        if count > 0:
+            key = (capacities[link] - frozen_load[link]) / count
+            current_key[link] = key
+            heapq.heappush(sat_heap, (key, link))
+
+    for link in range(num_links):
+        push_sat(link)
+
+    level = 0.0  # monotonically non-decreasing water level
+
+    def freeze(i, rate):
+        frozen[i] = True
+        rates[i] = rate
+        for link in flow_links[i]:
+            frozen_load[link] += rate
+            alive_count[link] -= 1
+            push_sat(link)
+
+    while True:
+        while demand_heap and frozen[demand_heap[0][1]]:
+            heapq.heappop(demand_heap)
+        while sat_heap and (alive_count[sat_heap[0][1]] == 0
+                            or sat_heap[0][0] != current_key[sat_heap[0][1]]):
+            heapq.heappop(sat_heap)
+        if not demand_heap and not sat_heap:
+            break
+        # Ties freeze by demand: the flow then gets its full demand.
+        if sat_heap and (not demand_heap
+                         or sat_heap[0][0] < demand_heap[0][0]):
+            sat_level, link = heapq.heappop(sat_heap)
+            if sat_level > level:
+                level = sat_level  # clamp against float undershoot
+            for i in members[link]:
+                if not frozen[i]:
+                    # level can overshoot a member's demand only by
+                    # float noise; never exceed the demand.
+                    freeze(i, level if level < demands[i] else demands[i])
+        else:
+            demand, i = heapq.heappop(demand_heap)
+            if frozen[i]:
+                continue
+            if demand > level:
+                level = demand
+            freeze(i, demand)
+    return rates
 
 
 @pytest.mark.parametrize("clean", [False, True], ids=["messy", "ties"])
@@ -343,7 +406,7 @@ def test_engine_rates_match_oracle_under_churn(ops):
 
 
 # ---------------------------------------------------------------------------
-# Scenario level: fingerprints across symmetry and incremental on/off
+# Scenario level: fingerprints across incremental on/off
 # ---------------------------------------------------------------------------
 
 
@@ -363,10 +426,9 @@ def test_scenario_fingerprint_equal_across_engine_modes(injections):
         injections=list(injections),
     )
     prints = {}
-    for symmetry in (False, True):
-        for incremental in (False, True):
-            result = run_scenario(ScenarioSpec(**base, sim_params={
-                "symmetry": symmetry, "incremental_realloc": incremental}))
-            assert result.delivered_bytes > 0
-            prints[(symmetry, incremental)] = result.fingerprint()
+    for incremental in (False, True):
+        result = run_scenario(ScenarioSpec(
+            **base, sim_params={"incremental_realloc": incremental}))
+        assert result.delivered_bytes > 0
+        prints[incremental] = result.fingerprint()
     assert len(set(prints.values())) == 1, prints

@@ -3,6 +3,7 @@ CM observers, link addressing, demo settings, clock forcing)."""
 
 import io
 import contextlib
+import json
 
 import pytest
 
@@ -100,8 +101,21 @@ class TestScenarioCli:
         assert code == 0
         assert first.splitlines()[0] == second.splitlines()[0]
 
+    def test_scenario_spec_file_with_removed_key_rejected(self, tmp_path):
+        """A spec file carrying a removed sim_params key fails at parse
+        time with a one-line message (a SystemExit, so no traceback)."""
+        from repro.scenarios import generate_scenario
+
+        data = generate_scenario(9, duration=30.0).to_dict()
+        data["sim_params"] = {"symmetry": False}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scenario", "run", "--spec", str(path)])
+        assert str(exc.value).startswith("invalid scenario: ")
+        assert "'symmetry' was removed" in str(exc.value)
+
     def test_scenario_run_json_output(self):
-        import json
         code, out = run_cli(["scenario", "run", "--seed", "2",
                              "--duration", "30", "--json"])
         assert code == 0

@@ -1,5 +1,5 @@
 """Unit tests: the GraphML topology importer and its CLI surface
-(``repro topo import`` / ``repro topo classes``)."""
+(``repro topo import``)."""
 
 import contextlib
 import io
@@ -138,38 +138,3 @@ class TestCliTopo:
         bad.write_text("<not-graphml/>")
         with pytest.raises(SystemExit):
             run_cli(["topo", "import", str(bad)])
-
-    def test_topo_classes_builtin(self):
-        code, out = run_cli(["topo", "classes", "--topo", "fattree",
-                             "--topo-param", "k=4",
-                             "--topo-param", "device=router"])
-        assert code == 0
-        assert "36 nodes -> 4 classes" in out
-        assert "digest" in out
-
-    def test_topo_classes_graphml_identity(self):
-        code, out = run_cli(["topo", "classes", "--topo", "graphml",
-                             "--topo-param",
-                             f"path={fixture('mesh5.graphml')}"])
-        assert code == 0
-        assert "compression 1.00x" in out
-
-    def test_topo_classes_from_spec(self, tmp_path):
-        from repro.scenarios import (
-            NodeFail, ProtocolRecipe, ScenarioSpec, TopologyRecipe,
-            TrafficRecipe,
-        )
-        spec = ScenarioSpec(
-            name="cls", seed=1, duration=5.0,
-            topology=TopologyRecipe("fattree",
-                                    {"k": 4, "device": "router"}),
-            protocol=ProtocolRecipe("static", {}),
-            traffic=TrafficRecipe(pattern="none"),
-            injections=[NodeFail(at=2.0, node="c0_0")],
-        )
-        path = tmp_path / "spec.json"
-        path.write_text(spec.to_json())
-        code, out = run_cli(["topo", "classes", "--spec", str(path)])
-        assert code == 0
-        # the pinned core router is split out into its own class
-        assert "c0_0" in out

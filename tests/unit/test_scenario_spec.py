@@ -206,12 +206,14 @@ class TestScenarioSpecRoundTrip:
 
     def test_removed_kernel_sim_param_explained(self):
         spec = self.make_spec()
-        spec.sim_params = {"kernel": "arrays"}
-        with pytest.raises(ConfigurationError,
-                           match="removed.*never depended"):
-            spec.validate()
-        with pytest.raises(ConfigurationError, match="removed"):
-            ScenarioSpec.from_dict(spec.to_dict())
+        for key, value in [("kernel", "arrays"), ("symmetry", True),
+                           ("symmetry", False)]:
+            spec.sim_params = {key: value}
+            with pytest.raises(ConfigurationError,
+                               match=f"'{key}' was removed.*never depended"):
+                spec.validate()
+            with pytest.raises(ConfigurationError, match="removed"):
+                ScenarioSpec.from_dict(spec.to_dict())
 
     @pytest.mark.parametrize("protocol", ["ospf", "bgp", "static"])
     def test_routed_protocol_on_switch_topology_rejected(self, protocol):
@@ -274,7 +276,7 @@ class TestSpecSlos:
         from repro.scenarios import SPEC_SCHEMA_VERSION
 
         data = self.make_spec_with_slos().to_dict()
-        # v4: "static" protocol, "graphml" topologies, symmetry knob
+        # v4: "static" protocol, "graphml" topologies
         assert data["schema_version"] == SPEC_SCHEMA_VERSION == 4
         assert len(data["slos"]) == 2
 
